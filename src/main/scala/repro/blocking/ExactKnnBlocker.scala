@@ -1,59 +1,48 @@
 package repro.blocking
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.expressions.Window
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
-import repro.util.Det
 
 /** Exact nearest-neighbour blocking for Clean-Clean ER (paper §4.3):
   * every entity of the *smaller* collection queries the other collection
   * and keeps its k nearest vectors by Euclidean distance.
   *
-  * Distributed brute force: the (bounded) query side is broadcast, each
-  * index partition scans its rows keeping a per-query bounded worst-first
-  * heap, and a window over the unioned partials yields the global top-k —
-  * the Spark equivalent of the paper's exact GPU scan.
+  * Both sides are collected to the driver (a few MB for the paper's
+  * datasets at bench scale); the index is broadcast in [[KnnKernel]]'s
+  * tile layout, and the queries are cut into slices, about four per
+  * core, each answered in full by one task. No partial results are
+  * merged, so nothing is shuffled, and the output depends neither on how
+  * either side is partitioned nor on the number of cores. See
+  * [[KnnKernel]] for the float screen, its error bound and the exact
+  * double re-rank that makes the result the exact k-NN.
   */
 object ExactKnnBlocker extends Serializable {
 
-  /** (qid, nid, dist) of the k nearest index rows per query row. */
+  /** (qid, nid, dist, rank) of the min(k, |index|) nearest index rows per
+    * query row: `dist` is `Det.l2`, ranks 1.. follow (dist, nid).
+    */
   def topK(queries: DataFrame, index: DataFrame, k: Int): DataFrame = {
     val spark = queries.sparkSession
     import spark.implicits._
     require(k > 0, s"k must be positive, got $k")
 
     val q = queries.select("id", "vec").as[(Long, Array[Float])].collect()
-    val qIds  = q.map(_._1)
-    val qVecs = q.map(_._2)
-    val bq = spark.sparkContext.broadcast((qIds, qVecs))
+    val x = index.select("id", "vec").as[(Long, Array[Float])].collect()
+    val dims = (q.iterator ++ x.iterator).map(_._2.length).toSet
+    require(dims.size <= 1, s"vectors differ in dimension: ${dims.toSeq.sorted.mkString(", ")}")
+    if (q.isEmpty || x.isEmpty) return Seq.empty[(Long, Long, Double, Int)].toDF("qid", "nid", "dist", "rank")
 
-    val partials = index.select("id", "vec").as[(Long, Array[Float])]
+    val bIndex = spark.sparkContext.broadcast(KnnKernel.Index(x))
+    val slices = math.min(q.length, spark.sparkContext.defaultParallelism * 4)
+    spark.sparkContext.parallelize(q.toSeq, slices)
       .mapPartitions { it =>
-        val (ids, vecs) = bq.value
-        val nq = ids.length
-        // per-query bounded max-heaps (worst candidate on top)
-        val heaps = Array.fill(nq)(
-          new scala.collection.mutable.PriorityQueue[(Double, Long)]()(Ordering.by(_._1)))
-        it.foreach { case (nid, nvec) =>
-          var qi = 0
-          while (qi < nq) {
-            val d = Det.l2(vecs(qi), nvec)
-            val h = heaps(qi)
-            if (h.size < k) h.enqueue((d, nid))
-            else if (d < h.head._1) { h.dequeue(); h.enqueue((d, nid)) }
-            qi += 1
-          }
-        }
-        heaps.iterator.zipWithIndex.flatMap { case (h, qi) =>
-          h.iterator.map { case (d, nid) => (ids(qi), nid, d) }
+        val batch = it.toArray
+        val hits = KnnKernel.search(bIndex.value, batch.map(_._2), k)
+        batch.iterator.zip(hits.iterator).flatMap { case ((qid, _), h) =>
+          h.nids.indices.iterator.map(r => (qid, h.nids(r), h.dists(r), r + 1))
         }
       }
-      .toDF("qid", "nid", "dist")
-
-    val w = Window.partitionBy("qid").orderBy(col("dist").asc, col("nid").asc)
-    partials
-      .withColumn("rank", row_number().over(w))
-      .filter(col("rank") <= k)
+      .toDF("qid", "nid", "dist", "rank")
   }
 
   /** Candidate pairs at a given k, as an (id1, id2) DataFrame where id1 is

@@ -1,0 +1,185 @@
+package repro.blocking
+
+import repro.util.Det
+
+/** Exact k-nearest-neighbour search by Euclidean distance, without Spark.
+  *
+  * The result for a query is exactly the k index rows with the smallest
+  * `Det.l2` distance, ordered by (distance, id), with those double
+  * distances. It is found in two steps:
+  *
+  *  1. **Float screen.** Squared distances to every index row are summed
+  *     in float, a tile of rows at a time, and a bounded max-heap keeps
+  *     the `k + Slack` smallest per query. The index is stored in tiles of
+  *     up to [[TileRows]] rows, one `Array[Float]` per dimension, so the
+  *     innermost loop (`accumulate`) walks two arrays from index 0 and
+  *     C2 turns it into SIMD code. Indexing one flat array at an offset
+  *     (`tile(base + j)`) keeps C2 from vectorizing it and runs about six
+  *     times slower. The JDK's Vector API would need `--add-modules` on
+  *     every JVM that runs this code, so it is not used. Distances are
+  *     summed as `(q_p - x_p)^2`, never as `|q|^2 + |x|^2 - 2 q.x`, which
+  *     cancels catastrophically near distance 0.
+  *  2. **Exact re-rank.** The survivors are re-scored with `Det.l2` in
+  *     double and sorted by (distance, id). This is exact whenever the
+  *     screen is certified: each float sum lies within a relative
+  *     `(dim + 4) * 2^-24` of the true squared distance, so if the largest
+  *     survivor exceeds the k-th smallest by more than twice that (the
+  *     test uses four times), no row outside the survivors can be among
+  *     the true k nearest. A query that is not certified (many rows at
+  *     almost the same distance, e.g. duplicate vectors) is answered by
+  *     a full double scan instead.
+  *
+  * Rows are scanned in ascending id order, so ties in the screen also
+  * resolve by id, and the result never depends on input order.
+  */
+object KnnKernel {
+
+  /** Rows per index tile: a 768-d tile (1.5 MB) stays in a 2 MB L2 cache
+    * while a batch of queries runs over it.
+    */
+  val TileRows = 512
+
+  /** Extra rows the screen keeps beyond k, so that the gap between the
+    * k-th and the last survivor usually certifies the screen.
+    */
+  private val Slack = 8
+
+  private val FloatUlp = math.pow(2, -24)
+
+  /** The index rows sorted by id: `vecs` for the re-rank, and the same
+    * values in tiles for the screen, `tiles(t)(p)(j)` = component p of
+    * row `t * TileRows + j`.
+    */
+  final class Index private (val ids: Array[Long], val vecs: Array[Array[Float]], val dim: Int,
+                             val tiles: Array[Array[Array[Float]]]) extends Serializable {
+    def size: Int = ids.length
+  }
+
+  object Index {
+    def apply(rows: Array[(Long, Array[Float])]): Index = {
+      val sorted = rows.sortBy(_._1)
+      val vecs = sorted.map(_._2)
+      val dim = if (vecs.isEmpty) 0 else vecs(0).length
+      require(vecs.forall(_.length == dim), "index vectors differ in dimension")
+      val tiles = vecs.grouped(TileRows).map(t => Array.tabulate(dim)(p => t.map(_(p)))).toArray
+      new Index(sorted.map(_._1), vecs, dim, tiles)
+    }
+  }
+
+  /** The nearest index ids of one query, nearest first, with their
+    * `Det.l2` distances; `screened` is false when the full scan ran.
+    */
+  final case class Hits(nids: Array[Long], dists: Array[Double], screened: Boolean)
+
+  /** The min(k, index size) nearest rows for each query. Queries are
+    * processed together so that each tile is loaded into cache once.
+    */
+  def search(index: Index, queries: Array[Array[Float]], k: Int): Array[Hits] = {
+    require(k > 0, s"k must be positive, got $k")
+    require(queries.forall(_.length == index.dim),
+      s"query dimension differs from the index dimension ${index.dim}")
+    val n = index.size
+    val m = math.min(n, k + Slack)
+    val heaps = Array.fill(queries.length)(new FloatMaxHeap(m))
+    val acc = new Array[Float](TileRows)
+    var t = 0
+    while (t < index.tiles.length) {
+      val cols = index.tiles(t)
+      val base = t * TileRows
+      val rows = math.min(TileRows, n - base)
+      var qi = 0
+      while (qi < queries.length) {
+        val q = queries(qi)
+        java.util.Arrays.fill(acc, 0f)
+        var p = 0
+        while (p < index.dim) { accumulate(acc, cols(p), q(p)); p += 1 }
+        val h = heaps(qi)
+        var j = 0
+        while (j < rows) { h.offer(acc(j), base + j); j += 1 }
+        qi += 1
+      }
+      t += 1
+    }
+    queries.indices.map { qi =>
+      val (vals, rows) = heaps(qi).sorted
+      if (certified(vals, k, n, index.dim)) rerank(index, queries(qi), rows, k, screened = true)
+      else rerank(index, queries(qi), Array.range(0, n), k, screened = false)
+    }.toArray
+  }
+
+  /** acc(j) += (qp - col(j))^2 over the whole column. Kept a separate
+    * method with a zero-based loop so that C2 vectorizes it.
+    */
+  private def accumulate(acc: Array[Float], col: Array[Float], qp: Float): Unit = {
+    var j = 0
+    while (j < col.length) { val d = qp - col(j); acc(j) += d * d; j += 1 }
+  }
+
+  /** True when no row outside `survivors` can be among the k nearest: the
+    * last survivor's float value exceeds the k-th's by four times the
+    * screen's relative error, plus an absolute term for subnormal sums.
+    */
+  private def certified(vals: Array[Float], k: Int, n: Int, dim: Int): Boolean =
+    vals.length == n || {
+      val kth = vals(k - 1).toDouble
+      val last = vals(vals.length - 1).toDouble
+      last <= Float.MaxValue &&
+        last > kth * (1.0 + 4.0 * (dim + 4) * FloatUlp) + (dim + 4) * java.lang.Float.MIN_NORMAL
+    }
+
+  /** The k nearest of `rows` by (`Det.l2`, id). */
+  private def rerank(index: Index, q: Array[Float], rows: Array[Int], k: Int, screened: Boolean): Hits = {
+    val d = rows.map(r => Det.l2(q, index.vecs(r)))
+    // rows ascend with id, so (distance, row) orders as (distance, id)
+    val order = rows.indices.sortBy(i => (d(i), rows(i))).take(k)
+    Hits(order.map(i => index.ids(rows(i))).toArray, order.map(d).toArray, screened)
+  }
+
+  /** Bounded max-heap of (float value, row); keeps the `cap` smallest
+    * by (value, row). Rows must be offered in ascending order.
+    */
+  private final class FloatMaxHeap(cap: Int) {
+    private val vals = new Array[Float](cap)
+    private val rows = new Array[Int](cap)
+    private var size = 0
+
+    def offer(v: Float, row: Int): Unit =
+      if (size < cap) {
+        vals(size) = v; rows(size) = row; siftUp(size); size += 1
+      } else if (v < vals(0)) {
+        vals(0) = v; rows(0) = row; siftDown(0)
+      }
+
+    /** The held (values, rows) in ascending (value, row) order. */
+    def sorted: (Array[Float], Array[Int]) = {
+      val order = (0 until size).sortBy(i => (vals(i), rows(i)))
+      (order.map(vals).toArray, order.map(rows).toArray)
+    }
+
+    // (value, row) order: a later row is larger at equal value
+    private def above(a: Int, b: Int): Boolean =
+      vals(a) > vals(b) || (vals(a) == vals(b) && rows(a) > rows(b))
+
+    private def swap(a: Int, b: Int): Unit = {
+      val v = vals(a); vals(a) = vals(b); vals(b) = v
+      val r = rows(a); rows(a) = rows(b); rows(b) = r
+    }
+
+    private def siftUp(i0: Int): Unit = {
+      var i = i0
+      while (i > 0 && above(i, (i - 1) / 2)) { swap(i, (i - 1) / 2); i = (i - 1) / 2 }
+    }
+
+    private def siftDown(i0: Int): Unit = {
+      var i = i0
+      var done = false
+      while (!done) {
+        val l = 2 * i + 1; val r = l + 1
+        var top = i
+        if (l < size && above(l, top)) top = l
+        if (r < size && above(r, top)) top = r
+        if (top == i) done = true else { swap(i, top); i = top }
+      }
+    }
+  }
+}

@@ -47,12 +47,8 @@ class ExactKnnBlockerSpec extends SparkSpec {
     val k = 5
     import spark.implicits._
     val got = ExactKnnBlocker.topK(vecDf(rq), vecDf(ri), k)
-      .select("qid", "nid", "rank").as[(Long, Long, Int)].collect()
-      .groupBy(_._1).map { case (q, rs) => q -> rs.sortBy(_._3).map(_._2).toSeq }
-    val want = rq.map { case (q, qv) =>
-      q -> ri.map { case (n, nv) => (Det.l2(qv, nv), n) }.sortBy(identity).take(k).map(_._2)
-    }.toMap
-    assert(got == want)
+      .as[(Long, Long, Double, Int)].collect().sorted.toSeq
+    assert(got == BruteForceKnn.topK(rq, ri, k).sorted)
   }
 
   test("ties broken by ascending nid") {
@@ -62,6 +58,50 @@ class ExactKnnBlockerSpec extends SparkSpec {
     val top = ExactKnnBlocker.topK(vecDf(q), vecDf(i), 2)
       .orderBy("rank").select("nid").as[Long].collect().toSeq
     assert(top == Seq(3L, 5L))
+  }
+
+  test("a tie at the k-th place keeps the smallest nid, whatever the arrival order") {
+    import spark.implicits._
+    val q = Seq(0L -> Array(0f))
+    val i = Seq(5L -> Array(1f), 3L -> Array(1f), 9L -> Array(1f))
+    val top = ExactKnnBlocker.topK(vecDf(q), vecDf(i).coalesce(1), 1)
+      .select("nid").as[Long].collect().toSeq
+    assert(top == Seq(3L))
+  }
+
+  test("output does not depend on how either side is partitioned or ordered") {
+    import spark.implicits._
+    // a coarse grid, so that many index rows tie at the k-th place
+    def grid(seed: Long, n: Int, idBase: Long) = (0 until n).map { r =>
+      (idBase + r, Array.tabulate(6)(p => (Det.nextInt(Det.seed(seed, r.toLong, p.toLong), 3) - 1).toFloat))
+    }
+    val rq = grid(11L, 50, 0L); val ri = grid(12L, 300, 1000L)
+    def rows(qs: org.apache.spark.sql.DataFrame, is: org.apache.spark.sql.DataFrame) =
+      ExactKnnBlocker.topK(qs, is, 7).as[(Long, Long, Double, Int)].collect().sorted.toSeq
+    val want = BruteForceKnn.topK(rq, ri, 7).sorted
+    val shuffled = new scala.util.Random(5).shuffle(ri)
+    Seq(
+      rows(vecDf(rq), vecDf(ri).repartition(1)),
+      rows(vecDf(rq), vecDf(ri).repartition(7)),
+      rows(vecDf(rq), vecDf(shuffled)),
+      rows(vecDf(rq).repartition(5), vecDf(shuffled).coalesce(1)),
+      rows(vecDf(rq).repartition(1), vecDf(ri).repartition(3))
+    ).foreach(got => assert(got == want))
+  }
+
+  test("an empty side gives an empty frame with the four columns") {
+    val empty = vecDf(Seq.empty)
+    Seq(ExactKnnBlocker.topK(empty, vecDf(index), 3), ExactKnnBlocker.topK(vecDf(queries), empty, 3))
+      .foreach { top =>
+        assert(top.columns.toSeq == Seq("qid", "nid", "dist", "rank"))
+        assert(top.count() == 0)
+      }
+  }
+
+  test("a dimension mismatch between the sides fails on the driver") {
+    val e = intercept[IllegalArgumentException](
+      ExactKnnBlocker.topK(vecDf(queries), vecDf(Seq(7L -> Array(1f, 2f, 3f))), 1))
+    assert(e.getMessage.contains("dimension"))
   }
 
   test("candidates derives smaller k from a larger topK") {
