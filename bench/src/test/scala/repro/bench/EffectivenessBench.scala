@@ -1,45 +1,20 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.core.{Harness, Tab}
 import repro.data.DatasetProfiles
 import repro.embed.ModelRegistry
+import repro.tables.Effectiveness
 
-/** The effectiveness matrix behind Figures 3, 4 and 8 (blocking recall at
-  * k ∈ {1, 5, 10}; UMC best-threshold precision/recall/F1 and the chosen
-  * δ) for all 12 models × D1–D10, plus the paper's family-level ordering
-  * checks. Not a numbered table, but these numbers carry the paper's
-  * headline claims, so EXPERIMENTS.md records them.
+/** Figures 3/4/8 at REPRO_SCALE: the paper's family-level ordering. Not a
+  * numbered table, but these numbers carry the paper's headline claims.
   */
 class EffectivenessBench extends SparkSpec {
 
   test("Figures 3/4/8: blocking recall and UMC matching per model and dataset") {
-    val scale = DatasetProfiles.benchScale
-    val models = ModelRegistry.all.map(_.code)
-    val rows = scala.collection.mutable.ArrayBuffer(
-      Seq("ds", "model", "rec@1", "rec@5", "rec@10", "delta", "P", "R", "F1"))
-    // per-model averages for the ranking summary (Figure 4 / Figure 9)
-    val recSum = scala.collection.mutable.Map.empty[String, Double].withDefaultValue(0.0)
-    val f1Sum  = scala.collection.mutable.Map.empty[String, Double].withDefaultValue(0.0)
-
-    DatasetProfiles.all.foreach { p0 =>
-      val p = p0.scaled(scale)
-      models.foreach { c =>
-        val r = Harness.runOne(spark, p, c)
-        val (d, pr, re, f1, _) = r.umcBest()
-        recSum(c) += r.recallAt(10); f1Sum(c) += f1
-        rows += Seq(p0.name, c, Tab.f(r.recallAt(1)), Tab.f(r.recallAt(5)),
-          Tab.f(r.recallAt(10)), Tab.f(d, 2), Tab.f(pr), Tab.f(re), Tab.f(f1))
-        println(rows.last.mkString("  "))
-      }
-    }
-    Tab.print(s"Figures 3/8 data (scale=$scale)", rows.toSeq)
-
-    val rec = models.map(c => c -> recSum(c) / 10).toMap
-    val f1  = models.map(c => c -> f1Sum(c) / 10).toMap
-    Tab.print("Average blocking recall@10 / UMC F1 per model (Figures 4/9)",
-      Seq(Seq("model") ++ models, Seq("rec@10") ++ models.map(c => Tab.f(rec(c))),
-        Seq("F1") ++ models.map(c => Tab.f(f1(c)))))
+    val report = Effectiveness.run(spark, DatasetProfiles.benchScale)
+    report.print()
+    val rec = report.rec
+    val f1  = report.f1
 
     // Family ordering (the paper's central result)
     def avg(codes: Seq[String], m: Map[String, Double]) = codes.map(m).sum / codes.size

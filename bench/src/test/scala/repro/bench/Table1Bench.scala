@@ -1,24 +1,16 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.Tab
 import repro.embed.ModelRegistry
+import repro.tables.Table1
 
-/** Table 1: the language models used in the experiments — dimensionality,
-  * max sequence length, parameters, and the ER works using each model.
-  * Pure registry metadata; printed for EXPERIMENTS.md.
-  */
+/** Table 1 (registry metadata): 12 models, eight of them 768-d. */
 class Table1Bench extends AnyFunSuite {
 
   test("Table 1: language model characteristics") {
-    val rows = Seq(Seq("Model", "Code", "Dim.", "Seq.", "Param.", "Blocking", "Matching")) ++
-      ModelRegistry.all.map { m =>
-        Seq(m.name, m.code, m.dim.toString,
-          if (m.seqLen == 0) "-" else m.seqLen.toString,
-          if (m.paramsM == 0) "-" else s"${m.paramsM}M",
-          m.blockingRefs, m.matchingRefs)
-      }
-    Tab.print("Table 1 (paper: 12 models, base versions)", rows)
+    val table = Table1.run().table
+    table.print()
+    val rows = table.rows
 
     assert(rows.size == 13)
     assert(ModelRegistry.all.count(_.dim == 768) == 8)

@@ -1,50 +1,25 @@
 package repro.bench
 
-import org.apache.spark.sql.functions._
 import repro.SparkSpec
-import repro.core.Tab
-import repro.data.{DatasetProfiles, ERSynth, FebrlSynth}
+import repro.tables.Table2
 
-/** Table 2: dataset characteristics at full (paper) size.
-  *
-  * (a) the ten Clean-Clean datasets: |V1|, |V2|, |A1|, |A2|, |D| and the
-  *     measured average sentence length in characters;
-  * (b) the seven Febrl-style Dirty-ER datasets: |V|, measured |D| and
-  *     average sentence length.
-  */
+/** Table 2: the generated datasets have the paper's sizes. */
 class Table2Bench extends SparkSpec {
 
+  private lazy val report = Table2.run(spark)
+
   test("Table 2(a): real datasets for Clean-Clean ER") {
-    val paperAvg = Map(
-      "D1" -> 18.67, "D2" -> 198.64, "D3" -> 792.43, "D4" -> 133.29, "D5" -> 81.49,
-      "D6" -> 71.48, "D7" -> 104.16, "D8" -> 103.35, "D9" -> 115.57, "D10" -> 54.04)
-    val rows = scala.collection.mutable.ArrayBuffer(
-      Seq("ds", "|V1|", "|V2|", "|A1|", "|A2|", "|D|", "|S|meas", "|S|paper"))
-    DatasetProfiles.all.foreach { p =>
-      val (v1, v2, a1, a2, d, avgLen) = ERSynth.stats(spark, p)
-      rows += Seq(p.name, v1.toString, v2.toString, a1.toString, a2.toString,
-        d.toString, Tab.f(avgLen, 2), Tab.f(paperAvg(p.name), 2))
+    report.a.print()
+    report.clean.foreach { case (p, (v1, v2, _, _, d, _)) =>
       assert(v1 == p.v1 && v2 == p.v2 && d == p.dups)
     }
-    Tab.print("Table 2(a) — Clean-Clean ER datasets (full size)", rows.toSeq)
   }
 
   test("Table 2(b): synthetic datasets for Dirty ER") {
-    val paperD = Map(
-      "Ds1" -> 8705L, "Ds2" -> 43071L, "Ds3" -> 85497L, "Ds4" -> 172403L,
-      "Ds5" -> 257034L, "Ds6" -> 857538L, "Ds7" -> 1716102L)
-    val rows = scala.collection.mutable.ArrayBuffer(
-      Seq("ds", "|V|", "|D|meas", "|D|paper", "|S|meas"))
-    FebrlSynth.TableSizes.foreach { case (name, n) =>
-      val d = FebrlSynth.duplicatePairs(spark, n).count()
-      // sample sentence length on large sizes to keep the bench fast
-      val sampleN = math.min(n, 50_000L)
-      val avgLen = FebrlSynth.entities(spark, sampleN)
-        .agg(avg(length(col("sentence")))).head.getDouble(0)
-      rows += Seq(name, n.toString, d.toString, paperD(name).toString, Tab.f(avgLen, 2))
+    report.b.print()
+    report.dirty.foreach { case (name, n, d, _) =>
       // shape: ~0.86 duplicate pairs per entity, matching the paper's ~0.87
       assert(math.abs(d.toDouble / n - 0.86) < 0.01, s"$name pairs/entity ${d.toDouble / n}")
     }
-    Tab.print("Table 2(b) — Febrl Dirty-ER datasets (full size)", rows.toSeq)
   }
 }

@@ -1,36 +1,20 @@
 package repro.bench
 
-import org.apache.spark.sql.functions._
 import repro.SparkSpec
-import repro.core.Tab
-import repro.data.SupervisedSynth
+import repro.tables.Table3
 
-/** Table 3: the supervised-matching datasets — total pairs, testing
-  * pairs, duplicates, attributes — generated and counted.
-  */
+/** Table 3: the supervised-matching datasets have the paper's counts. */
 class Table3Bench extends SparkSpec {
 
   test("Table 3: supervised matching datasets") {
-    val paper = Map( // name -> (total, testing, dups, attrs)
-      "DSM1" -> (9575, 1917, 1028, 3), "DSM2" -> (539, 110, 132, 8),
-      "DSM3" -> (12363, 2474, 2220, 4), "DSM4" -> (28707, 5743, 5347, 4),
-      "DSM5" -> (10242, 2050, 962, 5))
-    val rows = scala.collection.mutable.ArrayBuffer(
-      Seq("ds", "src1", "src2", "total", "test(meas)", "test(paper)", "dups", "attrs"))
-    SupervisedSynth.all.foreach { p =>
-      val df = SupervisedSynth.pairs(spark, p).cache()
-      val total = df.count()
-      val testN = df.filter(col("split") === "test").count()
-      val dups  = df.filter(col("label") === 1).count()
-      val (pT, pTest, pD, pA) = paper(p.name)
-      rows += Seq(p.name, p.src1, p.src2, total.toString, testN.toString,
-        pTest.toString, dups.toString, p.attrs.toString)
+    val report = Table3.run(spark)
+    report.print()
+    report.counts.foreach { case (p, total, testN, dups) =>
+      val (pT, pTest, pD, pA) = Table3.paper(p.name)
       assert(total == pT, s"${p.name} total")
       assert(dups == pD, s"${p.name} dups")
       assert(p.attrs == pA, s"${p.name} attrs")
       assert(math.abs(testN - pTest) <= pT / 50, s"${p.name} testing pairs off: $testN vs $pTest")
-      df.unpersist()
     }
-    Tab.print("Table 3 — supervised matching datasets", rows.toSeq)
   }
 }

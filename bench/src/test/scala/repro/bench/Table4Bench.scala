@@ -1,33 +1,23 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.core.{Harness, Tab}
 import repro.data.DatasetProfiles
-import repro.embed.{ModelRegistry, Vectorizer}
+import repro.tables.Table4
 
-/** Table 4: vectorization time per model — the Init row (loading the
-  * model's tables/weights) plus the transform time per dataset, at
-  * REPRO_SCALE of the paper's sizes.
-  *
-  * Paper shape to reproduce: FastText has by far the costliest Init
-  * (n-gram dictionary), Word2Vec second; Word2Vec/GloVe transform fastest
-  * by an order of magnitude; DistilBERT fastest BERT, XLNet slowest BERT;
-  * S-MiniLM fastest SentenceBERT, S-GTR-T5 slowest overall.
+/** Table 4, at REPRO_SCALE. Paper shape to reproduce: FastText has by far
+  * the costliest Init (n-gram dictionary), Word2Vec second;
+  * Word2Vec/GloVe transform fastest by an order of magnitude; DistilBERT
+  * fastest BERT, XLNet slowest BERT; S-MiniLM fastest SentenceBERT,
+  * S-GTR-T5 slowest overall.
   */
 class Table4Bench extends SparkSpec {
 
-  private val models = ModelRegistry.all.map(_.code)
+  private lazy val report = Table4.run(spark, DatasetProfiles.benchScale)
 
   test("Table 4: initialization time per model") {
-    val initMs = models.map { c =>
-      val t0 = System.nanoTime()
-      val rt = Vectorizer.freshRuntime(c)
-      val ms = (System.nanoTime() - t0) / 1e6
-      assert(rt.vocabTable.nonEmpty)
-      c -> ms
-    }.toMap
-    Tab.print("Table 4 (Init row) — model initialization (ms)",
-      Seq(models, models.map(c => Tab.f(initMs(c), 1))))
+    report.init.print()
+    report.fresh.foreach(rt => assert(rt.vocabTable.nonEmpty))
+    val initMs = report.initMs
 
     assert(initMs("FT") > initMs("WC"), "FastText init slowest (n-gram dictionary)")
     assert(initMs("WC") > initMs("GE"), "Word2Vec init above GloVe")
@@ -37,21 +27,8 @@ class Table4Bench extends SparkSpec {
   }
 
   test("Table 4: transformation time per model and dataset") {
-    val scale = DatasetProfiles.benchScale
-    models.foreach(Vectorizer.runtime) // exclude init from transform timing
-    val rows = scala.collection.mutable.ArrayBuffer(Seq("ds") ++ models)
-    val total = scala.collection.mutable.Map.empty[String, Double].withDefaultValue(0.0)
-    DatasetProfiles.all.foreach { p0 =>
-      val p = p0.scaled(scale)
-      val secs = models.map { c =>
-        val s = Harness.vectorizationSecs(spark, p, c)
-        total(c) += s
-        s
-      }
-      rows += Seq(p0.name) ++ secs.map(Tab.f(_, 2))
-    }
-    rows += Seq("TOTAL") ++ models.map(c => Tab.f(total(c), 2))
-    Tab.print(s"Table 4 — vectorization time (s) at scale=$scale", rows.toSeq)
+    report.transform.print()
+    val total = report.total
 
     // Paper-shape assertions on the totals across all datasets:
     assert(total("WC") < total("FT"), "Word2Vec transform far below FastText")

@@ -1,71 +1,20 @@
 package repro.bench
 
-import org.apache.spark.sql.functions._
 import repro.SparkSpec
-import repro.baselines.DeepBlocker
-import repro.blocking.{BlockingMetrics, ExactKnnBlocker}
-import repro.core.Tab
-import repro.data.{DatasetProfiles, ERSynth}
-import repro.embed.Vectorizer
+import repro.data.DatasetProfiles
+import repro.tables.Table5a
 
-/** Table 5(a): blocking — DeepBlocker (Auto-Encoder + FastText) vs the
-  * best language model S-GTR-T5 (vectorize + exact NNS), k ∈ {1, 5, 10},
-  * with the recall comparison of Figure 3's rightmost column.
-  *
-  * Paper shape: S-GTR-T5's time is ~flat in k (vectorization dominates);
-  * DeepBlocker grows with k; S-GTR-T5's recall at k=10 is higher on the
-  * noisy datasets and both are ~perfect on D1/D4.
+/** Table 5(a), at REPRO_SCALE. Paper shape: S-GTR-T5's time is ~flat in k
+  * (vectorization dominates); DeepBlocker grows with k; S-GTR-T5's recall
+  * at k=10 is higher on the noisy datasets and both are ~perfect on
+  * D1/D4.
   */
 class Table5aBench extends SparkSpec {
 
   test("Table 5(a): DeepBlocker vs S-GTR-T5 blocking time and recall") {
-    val scale = DatasetProfiles.benchScale
-    val ks = Seq(1, 5, 10)
-    val rows = scala.collection.mutable.ArrayBuffer(
-      Seq("ds") ++ ks.map(k => s"DB t(k=$k)") ++ ks.map(k => s"S5 t(k=$k)")
-        ++ Seq("DB rec@10", "S5 rec@10"))
-    var s5Wins = 0; var bothHigh = 0
-
-    DatasetProfiles.all.foreach { p0 =>
-      val p = p0.scaled(scale)
-      val s1 = ERSynth.source(spark, p, 1).cache(); s1.count()
-      val s2 = ERSynth.source(spark, p, 2).cache(); s2.count()
-      val gt = ERSynth.groundTruth(spark, p)
-      val side1Smaller = p.v1 <= p.v2
-      val (q, i) = if (side1Smaller) (s1, s2) else (s2, s1)
-
-      def canon(c: org.apache.spark.sql.DataFrame) =
-        if (side1Smaller) c else c.select(col("id2").as("id1"), col("id1").as("id2"))
-
-      val dbTimes = scala.collection.mutable.ArrayBuffer.empty[Double]
-      var dbRec10 = 0.0
-      ks.foreach { k =>
-        val b = DeepBlocker.block(q, i, k, tag = s"t5a-${p0.name}-$k")
-        dbTimes += b.secs
-        if (k == 10) dbRec10 = BlockingMetrics.recall(canon(b.candidates), gt)
-      }
-
-      val s5Times = scala.collection.mutable.ArrayBuffer.empty[Double]
-      var s5Rec10 = 0.0
-      ks.foreach { k =>
-        val t0 = System.nanoTime()
-        val qv = Vectorizer.vectorize(q, "S5", s"${p0.name}#q").cache(); qv.count()
-        val iv = Vectorizer.vectorize(i, "S5", s"${p0.name}#i").cache(); iv.count()
-        val top = ExactKnnBlocker.topK(qv, iv, k).cache(); top.count()
-        s5Times += (System.nanoTime() - t0) / 1e9
-        if (k == 10)
-          s5Rec10 = BlockingMetrics.recall(
-            canon(top.select(col("qid").as("id1"), col("nid").as("id2"))), gt)
-        qv.unpersist(); iv.unpersist(); top.unpersist()
-      }
-
-      if (s5Rec10 > dbRec10 + 0.02) s5Wins += 1
-      if (s5Rec10 > 0.95 && dbRec10 > 0.95) bothHigh += 1
-      rows += Seq(p0.name) ++ dbTimes.map(Tab.f(_, 1)) ++ s5Times.map(Tab.f(_, 1)) ++
-        Seq(Tab.f(dbRec10), Tab.f(s5Rec10))
-      s1.unpersist(); s2.unpersist()
-    }
-    Tab.print(s"Table 5(a) — blocking: DeepBlocker vs S-GTR-T5 (scale=$scale)", rows.toSeq)
+    val report = Table5a.run(spark, DatasetProfiles.benchScale)
+    report.print()
+    val s5Wins = report.s5Wins; val bothHigh = report.bothHigh
 
     // Figure 3 (SotA column) shape: S-GTR-T5's recall@10 above DeepBlocker
     // on most datasets, or both ~perfect (D1/D4-like).

@@ -1,54 +1,21 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.baselines.ZeroER
-import repro.core.{Pipeline, Tab}
-import repro.data.{DatasetProfiles, ERSynth}
+import repro.data.DatasetProfiles
+import repro.tables.Table5b
 
-/** Table 5(b): unsupervised matching — ZeroER (t_p, t_m) vs the
-  * end-to-end S-GTR-T5 pipeline (k=10 blocking + UMC at δ=0.5), with the
-  * F1 comparison of Figure 8(d).
-  *
-  * Paper shape: ZeroER's preprocessing dominates and exceeds the time
-  * budget on several datasets ('-' rows); the S-GTR-T5 pipeline finishes
-  * every dataset with matching time in milliseconds.
+/** Table 5(b), at REPRO_SCALE. Paper shape: ZeroER's preprocessing
+  * dominates and exceeds the time budget on several datasets ('-' rows);
+  * the S-GTR-T5 pipeline finishes every dataset with matching time in
+  * milliseconds.
   */
 class Table5bBench extends SparkSpec {
 
   test("Table 5(b): ZeroER vs end-to-end S-GTR-T5") {
-    val scale  = DatasetProfiles.benchScale
-    val budget = sys.env.getOrElse("ZEROER_BUDGET_SEC", "30").toDouble
-    val rows = scala.collection.mutable.ArrayBuffer(
-      Seq("ds", "ZE t_p", "ZE t_m", "ZE F1", "S5 t_p", "S5 t_m(ms)", "S5 F1"))
-    var zeroerTimeouts = 0
-    var s5NotWorse = 0
-    var d1Gap = 0.0
-
-    DatasetProfiles.all.foreach { p0 =>
-      val p = p0.scaled(scale)
-      val s1 = ERSynth.source(spark, p, 1).cache(); s1.count()
-      val s2 = ERSynth.source(spark, p, 2).cache(); s2.count()
-      val gt = ERSynth.groundTruth(spark, p)
-
-      val ze = ZeroER.run(s1, s2, gt, budgetSecs = budget)
-      val s5 = Pipeline.runOnSources(spark, p, s1, s2, gt, "S5", k = 10, delta = 0.5)
-
-      ze match {
-        case Some(r) =>
-          if (s5.f1 >= r.f1 - 0.03) s5NotWorse += 1
-          if (p0.name == "D1") d1Gap = s5.f1 - r.f1
-          rows += Seq(p0.name, Tab.f(r.prepSecs, 1), Tab.f(r.matchSecs, 2), Tab.f(r.f1),
-            Tab.f(s5.prepSecs, 1), Tab.f(s5.matchSecs * 1000, 0), Tab.f(s5.f1))
-        case None =>
-          zeroerTimeouts += 1
-          s5NotWorse += 1
-          rows += Seq(p0.name, "-", "-", "-",
-            Tab.f(s5.prepSecs, 1), Tab.f(s5.matchSecs * 1000, 0), Tab.f(s5.f1))
-      }
-      s1.unpersist(); s2.unpersist()
-    }
-    Tab.print(s"Table 5(b) — ZeroER vs S-GTR-T5 (scale=$scale, budget=${budget}s)", rows.toSeq)
-    println(s"ZeroER did not terminate on $zeroerTimeouts/10 datasets (paper: 5/10)")
+    val report = Table5b.run(spark, DatasetProfiles.benchScale)
+    report.print()
+    val zeroerTimeouts = report.zeroerTimeouts
+    val s5NotWorse = report.s5NotWorse
 
     assert(zeroerTimeouts >= 1, "long-text datasets must exceed ZeroER's budget")
     assert(s5NotWorse >= 6, s"S-GTR-T5 at least as good on most datasets (got $s5NotWorse)")

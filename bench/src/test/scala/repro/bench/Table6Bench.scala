@@ -1,40 +1,21 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.core.Tab
-import repro.data.SupervisedSynth
 import repro.embed.ModelRegistry
-import repro.matching.supervised.SupervisedMatcher
+import repro.tables.Table6
 
-/** Table 6: supervised matching — training (t_t) and testing (t_e) times
-  * of the 10 supported models over DSM1–DSM5, plus the F1 behind
-  * Figure 11.
-  *
-  * Paper shape: XLNet slowest everywhere; S-MiniLM fastest;
-  * S-DistilRoBERTa and DistilBERT ≈ half of RoBERTa; dynamic models'
-  * F1 above the static models'.
+/** Table 6. Paper shape: XLNet slowest everywhere; S-MiniLM fastest;
+  * S-DistilRoBERTa and DistilBERT ≈ half of RoBERTa; dynamic models' F1
+  * above the static models'.
   */
 class Table6Bench extends SparkSpec {
 
   test("Table 6: supervised matching times and F1") {
+    val report = Table6.run(spark)
+    report.print()
     val models = ModelRegistry.supervisedModels
-    val header = Seq("model") ++ SupervisedSynth.all.flatMap(p => Seq(s"${p.name} t_t", "t_e", "F1"))
-    val rows = scala.collection.mutable.ArrayBuffer(header)
-    val tTot  = scala.collection.mutable.Map.empty[String, Double].withDefaultValue(0.0)
-    val f1Tot = scala.collection.mutable.Map.empty[String, Double].withDefaultValue(0.0)
-
-    models.foreach { m =>
-      val cells = scala.collection.mutable.ArrayBuffer[String](m.code)
-      SupervisedSynth.all.foreach { p =>
-        val r = SupervisedMatcher.run(spark, p, m)
-        tTot(m.code)  += r.trainSecs
-        f1Tot(m.code) += r.f1
-        cells ++= Seq(Tab.f(r.trainSecs, 1), Tab.f(r.testSecs, 2), Tab.f(r.f1))
-      }
-      rows += cells.toSeq
-      println(cells.mkString("  "))
-    }
-    Tab.print("Table 6 — supervised matching t_t / t_e / F1 per dataset", rows.toSeq)
+    val tTot  = report.trainSecs
+    val f1Tot = report.f1
 
     // Time shape (totals across datasets)
     assert(tTot("XT") > tTot("BT"), "XLNet slowest")

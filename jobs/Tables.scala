@@ -1,0 +1,33 @@
+package repro.jobs
+
+import org.apache.spark.sql.SparkSession
+import repro.core.LocalSpark
+import repro.data.DatasetProfiles.benchScale
+import repro.tables._
+
+/** Prints the paper's tables — the reports the bench suites assert on —
+  * without the assertions. Names: 1 2 3 4 5a 5b 6 effectiveness, or all;
+  * the scaled tables run at `REPRO_SCALE`.
+  *
+  *   sbt "runMain repro.jobs.Tables 5a 5b"
+  */
+object Tables {
+
+  private val producers: Seq[(String, SparkSession => Report)] = Seq(
+    "1" -> (_ => Table1.run()), "2" -> (Table2.run(_)), "3" -> (Table3.run(_)),
+    "4" -> (Table4.run(_, benchScale)), "5a" -> (Table5a.run(_, benchScale)),
+    "5b" -> (Table5b.run(_, benchScale)), "6" -> (Table6.run(_)),
+    "effectiveness" -> (Effectiveness.run(_, benchScale)))
+
+  def main(args: Array[String]): Unit = {
+    val names = if (args.isEmpty || args.sameElements(Seq("all"))) producers.map(_._1) else args.toSeq
+    val unknown = names.filterNot(producers.toMap.contains)
+    if (unknown.nonEmpty) {
+      System.err.println(s"unknown table ${unknown.mkString(", ")}; one of: ${producers.map(_._1).mkString(" ")} all")
+      sys.exit(2)
+    }
+    val spark = LocalSpark.session("repro-tables")
+    try names.foreach(producers.toMap.apply(_)(spark).print())
+    finally spark.stop()
+  }
+}

@@ -84,9 +84,12 @@ object ZeroER {
 
   private final class Timeout extends RuntimeException
 
+  /** The "did not terminate" budget of Table 5(b), in seconds. */
+  val DefaultBudgetSecs = 30.0
+
   /** Run end-to-end; None if the time budget is exhausted. */
   def run(s1: DataFrame, s2: DataFrame, groundTruth: DataFrame,
-          budgetSecs: Double = 60.0, cap: Int = 500): Option[Result] = {
+          budgetSecs: Double = DefaultBudgetSecs, cap: Int = 500): Option[Result] = {
     val spark = s1.sparkSession
     import spark.implicits._
     val t0 = System.nanoTime()

@@ -1,7 +1,6 @@
 package repro.blocking
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
 
 /** Exact nearest-neighbour blocking for Clean-Clean ER (paper §4.3):
   * every entity of the *smaller* collection queries the other collection
@@ -44,11 +43,4 @@ object ExactKnnBlocker extends Serializable {
       }
       .toDF("qid", "nid", "dist", "rank")
   }
-
-  /** Candidate pairs at a given k, as an (id1, id2) DataFrame where id1 is
-    * the query (smaller) side. Derives smaller-k results from a larger
-    * precomputed topK via the rank column.
-    */
-  def candidates(topKDf: DataFrame, k: Int): DataFrame =
-    topKDf.filter(col("rank") <= k).select(col("qid").as("id1"), col("nid").as("id2"))
 }

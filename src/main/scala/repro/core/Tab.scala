@@ -10,10 +10,5 @@ object Tab {
       .mkString("\n")
   }
 
-  def print(title: String, rows: Seq[Seq[String]]): Unit = {
-    println(s"\n== $title ==")
-    println(fmt(rows))
-  }
-
   def f(x: Double, digits: Int = 3): String = s"%.${digits}f".format(x)
 }

@@ -62,7 +62,7 @@ final class ModelRuntime(val spec: ModelSpec) {
     if (spec.layers == 0) 0L
     else {
       val paramsM = if (spec.paramsM > 0) spec.paramsM else 80 // S-DistilRoBERTa ~82M
-      val extra   = if (spec.family == "sbert") 15_000L else 0L
+      val extra   = if (spec.family == Family.Sbert) 15_000L else 0L
       val rounds  = 4_000_000L + paramsM * (30_000L + extra)
       var z = Det.strHash(spec.code)
       var r = 0L
@@ -77,7 +77,7 @@ final class ModelRuntime(val spec: ModelSpec) {
     * summation / transformer pass) — that is their cost signature.
     */
   val wordCache: ConcurrentHashMap[String, Array[Float]] =
-    if (spec.isStatic && spec.tokenMode == "word") new ConcurrentHashMap[String, Array[Float]](1 << 14)
+    if (spec.isStatic && spec.tokenMode == TokenMode.Word) new ConcurrentHashMap[String, Array[Float]](1 << 14)
     else null
 }
 
@@ -145,9 +145,9 @@ object Vectorizer extends Serializable {
     val spec = rt.spec
     val v = new Array[Float](rt.tokDim)
     spec.tokenMode match {
-      case "word"  => addWordVec(rt, token, v)
-      case "ngram" => addNgramVec(rt, token, v, 1.0f)
-      case "mixed" =>
+      case TokenMode.Word  => addWordVec(rt, token, v)
+      case TokenMode.Ngram => addNgramVec(rt, token, v, 1.0f)
+      case TokenMode.Mixed =>
         addWordVec(rt, token, v)
         var i = 0; while (i < v.length) { v(i) *= 0.7f; i += 1 }
         addNgramVec(rt, token, v, 0.3f)
@@ -227,16 +227,16 @@ object Vectorizer extends Serializable {
     }
 
     // Signal projection + family noise structure.
-    val sig = if (spec.family == "bert") java.util.Arrays.copyOf(acc, spec.sigDim) else acc
+    val sig = if (spec.family == Family.Bert) java.util.Arrays.copyOf(acc, spec.sigDim) else acc
     Det.normalize(sig)
 
     val sigma = spec.sigma * sigmaScale
     spec.family match {
-      case "static" | "sbert" =>
+      case Family.Static | Family.Sbert =>
         val n = Det.normalize(Det.uniformVec(noiseSeed, spec.dim))
         var i = 0; while (i < sig.length) { sig(i) += (sigma * n(i)).toFloat; i += 1 }
         Det.normalize(sig)
-      case "bert" =>
+      case Family.Bert =>
         val out = new Array[Float](spec.dim)
         val inSig = Det.normalize(Det.uniformVec(Det.mix(noiseSeed), spec.sigDim))
         var i = 0
@@ -261,12 +261,5 @@ object Vectorizer extends Serializable {
     df.select("id", "sentence").as[(Long, String)]
       .map { case (id, s) => (id, Vectorizer.embed(modelCode, s, Det.seed(tagHash, id))) }
       .toDF("id", "vec")
-  }
-
-  /** Collect vectors as a driver-side map (small sides / tests). */
-  def vectorizeLocal(df: DataFrame, modelCode: String, noiseTag: String): Map[Long, Array[Float]] = {
-    val spark = df.sparkSession
-    import spark.implicits._
-    vectorize(df, modelCode, noiseTag).as[(Long, Array[Float])].collect().toMap
   }
 }

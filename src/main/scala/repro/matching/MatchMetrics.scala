@@ -12,7 +12,4 @@ object MatchMetrics {
     val f1 = if (p + r == 0) 0.0 else 2 * p * r / (p + r)
     (p, r, f1)
   }
-
-  def f1(predicted: Set[(Long, Long)], groundTruth: Set[(Long, Long)]): Double =
-    prf(predicted, groundTruth)._3
 }

@@ -39,21 +39,6 @@ object Det extends Serializable {
     ((mix(s) >>> 1) % n).toInt
   }
 
-  /** Standard normal via Box-Muller on two derived uniforms. */
-  def gaussian(s: Long): Double = {
-    val u1 = math.max(uniform(mix(s)), 1e-12)
-    val u2 = uniform(mix(s + 0x7f4a7c15L))
-    math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.Pi * u2)
-  }
-
-  /** Deterministic pseudo-Gaussian vector for a seed; NOT normalized. */
-  def gaussianVec(s: Long, dim: Int): Array[Float] = {
-    val v = new Array[Float](dim)
-    var i = 0
-    while (i < dim) { v(i) = gaussian(seed(s, i.toLong)).toFloat; i += 1 }
-    v
-  }
-
   private val Sqrt3 = math.sqrt(3.0).toFloat
 
   /** Fast deterministic random vector: components uniform in [-√3, √3]
@@ -93,7 +78,4 @@ object Det extends Serializable {
     while (i < a.length) { val d = a(i).toDouble - b(i); s += d * d; i += 1 }
     math.sqrt(s)
   }
-
-  /** The paper's similarity: sim = 1 / (1 + euclidean distance). */
-  def sim(a: Array[Float], b: Array[Float]): Double = 1.0 / (1.0 + l2(a, b))
 }

@@ -1,7 +1,7 @@
 package repro.baselines
 
 import repro.SparkSpec
-import repro.blocking.BlockingMetrics
+import repro.core.Pipeline
 import repro.data.{DatasetProfiles, ERSynth}
 import repro.util.Det
 
@@ -52,14 +52,14 @@ class DeepBlockerSpec extends SparkSpec {
     val p = DatasetProfiles("D4").scaled(0.05)
     val s1 = ERSynth.source(spark, p, 1)
     val s2 = ERSynth.source(spark, p, 2)
-    val gt = ERSynth.groundTruth(spark, p)
+    import spark.implicits._
+    val gt = ERSynth.groundTruth(spark, p).as[(Long, Long)].collect().toSet
     val res = DeepBlocker.block(s2, s1, k = 5, tag = "dbtest") // smaller side queries
     val perQuery = res.candidates.groupBy("id1").count().collect().map(_.getLong(1))
     assert(perQuery.forall(_ <= 5))
     // gt is (side1, side2); candidates are (query=side2, side1) here
-    import org.apache.spark.sql.functions.col
-    val canon = res.candidates.select(col("id2").as("id1"), col("id1").as("id2"))
-    val rec = BlockingMetrics.recall(canon, gt)
+    val canon = res.candidates.as[(Long, Long)].collect().map(_.swap).toSet
+    val rec = Pipeline.recall(canon, gt)
     assert(rec > 0.8, s"DeepBlocker recall on easy D4: $rec")
     assert(res.secs > 0)
   }

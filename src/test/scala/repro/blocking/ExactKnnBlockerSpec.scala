@@ -104,14 +104,6 @@ class ExactKnnBlockerSpec extends SparkSpec {
     assert(e.getMessage.contains("dimension"))
   }
 
-  test("candidates derives smaller k from a larger topK") {
-    val top10 = ExactKnnBlocker.topK(vecDf(queries), vecDf(index), 4)
-    val c1 = ExactKnnBlocker.candidates(top10, 1)
-    assert(c1.count() == queries.size)
-    val c3 = ExactKnnBlocker.candidates(top10, 3)
-    assert(c3.count() == queries.size * 3)
-  }
-
   test("oracle: grouped-min (the top-1-per-group pattern) agrees with DuckDB") {
     import spark.implicits._
     val pts = (0 until 60).map(i =>
@@ -122,33 +114,5 @@ class ExactKnnBlockerSpec extends SparkSpec {
     Oracle.assertEquivalent(got,
       "SELECT CAST(g AS INT) AS g, CAST(min(CAST(y AS INT)) AS INT) AS best FROM pts GROUP BY g",
       "pts" -> pts)
-  }
-
-  test("BlockingMetrics.recall on exact candidates") {
-    import spark.implicits._
-    val cands = Seq((0L, 100L), (1L, 103L)).toDF("id1", "id2")
-    val gt = Seq((0L, 100L), (1L, 104L)).toDF("id1", "id2")
-    assert(BlockingMetrics.recall(cands, gt) == 0.5)
-  }
-
-  test("BlockingMetrics.precision counts distinct candidates") {
-    import spark.implicits._
-    val cands = Seq((0L, 100L), (0L, 100L), (1L, 103L)).toDF("id1", "id2")
-    val gt = Seq((0L, 100L)).toDF("id1", "id2")
-    assert(BlockingMetrics.precision(cands, gt) == 0.5)
-  }
-
-  test("BlockingMetrics.recall of empty ground truth is 1") {
-    import spark.implicits._
-    val cands = Seq((0L, 100L)).toDF("id1", "id2")
-    val gt = Seq.empty[(Long, Long)].toDF("id1", "id2")
-    assert(BlockingMetrics.recall(cands, gt) == 1.0)
-  }
-
-  test("BlockingMetrics.precision of empty candidates is 0") {
-    import spark.implicits._
-    val cands = Seq.empty[(Long, Long)].toDF("id1", "id2")
-    val gt = Seq((0L, 100L)).toDF("id1", "id2")
-    assert(BlockingMetrics.precision(cands, gt) == 0.0)
   }
 }

@@ -2,6 +2,7 @@ package repro.blocking
 
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
+import repro.core.Pipeline
 import repro.data.FebrlSynth
 import repro.embed.Vectorizer
 import repro.util.Det
@@ -67,7 +68,9 @@ class LshAnnBlockerSpec extends SparkSpec {
     val top = LshAnnBlocker.topK(vecs, k = 10, tables = 16, bits = 5)
     val cands = LshAnnBlocker.undirectedCandidates(top)
     val gt = FebrlSynth.duplicatePairs(spark, n)
-    val rec = BlockingMetrics.recall(cands, gt)
+    import spark.implicits._
+    def pairs(df: org.apache.spark.sql.DataFrame) = df.select("id1", "id2").as[(Long, Long)].collect().toSet
+    val rec = Pipeline.recall(pairs(cands), pairs(gt))
     assert(rec > 0.5, s"ANN recall $rec")
     vecs.unpersist()
   }

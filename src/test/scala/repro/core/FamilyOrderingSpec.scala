@@ -10,13 +10,13 @@ import repro.embed.ModelRegistry
   */
 class FamilyOrderingSpec extends SparkSpec {
 
-  private lazy val runs: Map[String, Harness.Run] = {
-    val p = DatasetProfiles("D10").scaled(0.03)
-    ModelRegistry.all.map(m => m.code -> Harness.runOne(spark, p, m.code, kMax = 10)).toMap
-  }
+  private lazy val runs: Map[String, Pipeline.Run] =
+    Pipeline.withSources(spark, DatasetProfiles("D10").scaled(0.03)) { src =>
+      ModelRegistry.all.map(m => m.code -> Pipeline.run(src, m.code, 10)).toMap
+    }
 
   private def rec10(code: String) = runs(code).recallAt(10)
-  private def f1(code: String)    = runs(code).umcBest()._4
+  private def f1(code: String)    = runs(code).umcBest().f1
 
   test("blocking: every SBERT model beats every BERT model") {
     for (s <- ModelRegistry.sbertModels; b <- ModelRegistry.bertModels)
@@ -56,8 +56,8 @@ class FamilyOrderingSpec extends SparkSpec {
   }
 
   test("matching: BERT thresholds are lower than SBERT thresholds (poor discriminativeness)") {
-    val dBert  = ModelRegistry.bertModels.map(m => runs(m.code).umcBest()._1)
-    val dSbert = ModelRegistry.sbertModels.map(m => runs(m.code).umcBest()._1)
+    val dBert  = ModelRegistry.bertModels.map(m => runs(m.code).umcBest().delta)
+    val dSbert = ModelRegistry.sbertModels.map(m => runs(m.code).umcBest().delta)
     assert(dBert.max <= dSbert.min, s"bert=$dBert sbert=$dSbert")
   }
 

@@ -137,20 +137,11 @@ class VectorizerSpec extends SparkSpec {
     assert(viaSpark.toSeq == direct.toSeq)
   }
 
-  test("vectorizeLocal equals vectorize collect") {
-    import spark.implicits._
-    val df = Seq((1L, "vala"), (2L, "beta")).toDF("id", "sentence")
-    val m1 = Vectorizer.vectorizeLocal(df, "SM", "x")
-    val m2 = Vectorizer.vectorize(df, "SM", "x").as[(Long, Array[Float])].collect().toMap
-    assert(m1.keySet == m2.keySet)
-    assert(m1.forall { case (k, v) => v.toSeq == m2(k).toSeq })
-  }
-
   test("noise tags decouple sources") {
     import spark.implicits._
     val df = Seq((1L, "vala beta")).toDF("id", "sentence")
-    val v1 = Vectorizer.vectorizeLocal(df, "S5", "a")(1L)
-    val v2 = Vectorizer.vectorizeLocal(df, "S5", "b")(1L)
+    val v1 = Vectorizer.vectorize(df, "S5", "a").as[(Long, Array[Float])].collect().head._2
+    val v2 = Vectorizer.vectorize(df, "S5", "b").as[(Long, Array[Float])].collect().head._2
     assert(v1.toSeq != v2.toSeq)
   }
 }

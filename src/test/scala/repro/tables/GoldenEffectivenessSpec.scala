@@ -1,9 +1,7 @@
-package repro.core
+package repro.tables
 
 import scala.io.Source
 import repro.SparkSpec
-import repro.data.DatasetProfiles
-import repro.embed.ModelRegistry
 
 /** Golden effectiveness numbers: recall@{1,5,10}, the best UMC δ and its
   * F1 for every (dataset, model) pair at a small fixed scale, compared
@@ -15,18 +13,20 @@ import repro.embed.ModelRegistry
   */
 class GoldenEffectivenessSpec extends SparkSpec {
 
-  private val Scale = 0.01
-
   test("effectiveness numbers match the checked-in snapshot exactly") {
     val src = Source.fromResource("golden/effectiveness.tsv")
     val expected = try src.getLines().filterNot(_.startsWith("#")).toVector finally src.close()
-    val actual = (for (p0 <- DatasetProfiles.all; m <- ModelRegistry.all) yield {
-      val r = Harness.runOne(spark, p0.scaled(Scale), m.code)
-      val (delta, _, _, f1, _) = r.umcBest()
-      Seq(p0.name, m.code, r.recallAt(1), r.recallAt(5), r.recallAt(10), delta, f1).mkString("\t")
-    }).toVector
+    val actual = GoldenEffectivenessSpec.report.cells.map(c =>
+      Seq(c.dataset, c.model, c.rec1, c.rec5, c.rec10, c.best.delta, c.best.f1).mkString("\t")).toVector
     val diff = expected.zipAll(actual, "<missing>", "<missing>").filter { case (e, a) => e != a }
     assert(diff.isEmpty,
       diff.map { case (e, a) => s"expected $e\n  actual $a" }.mkString(s"${diff.size} rows differ:\n", "\n", ""))
   }
+}
+
+object GoldenEffectivenessSpec {
+  val Scale = 0.01
+
+  /** The Effectiveness report at [[Scale]], computed once per test run. */
+  lazy val report: Effectiveness.Result = Effectiveness.run(SparkSpec.shared, Scale)
 }
