@@ -1,8 +1,6 @@
 package repro.baselines
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.expressions.Window
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.DataFrame
 import repro.blocking.ExactKnnBlocker
 import repro.embed.{Tokenizer, Vectorizer}
 import repro.matching.supervised.{LogisticTrainer, PairFeatures}
@@ -97,28 +95,30 @@ object DeepBlocker {
       .filter { case (_, i) => Det.uniform(Det.seed(seed, i.toLong)) >= rate }
       .map(_._1).mkString(" ")
 
-  /** Block: every query entity keeps its k top-scored index candidates. */
+  /** Block: every query entity keeps its k top-scored index candidates.
+    * Both sides' FastText vectors are collected once and sorted by id, so
+    * the training samples, and with them the candidates, do not depend on
+    * the order of either input.
+    */
   def block(queries: DataFrame, index: DataFrame, k: Int, tag: String, seed: Long = 17L): Blocked = {
     val spark = queries.sparkSession
     import spark.implicits._
+    val sc = spark.sparkContext
     val t0 = System.nanoTime()
 
     // 1. FastText vectorization (DeepBlocker's default embedding)
-    val qv = Vectorizer.vectorize(queries, "FT", tag + "#dbq").cache()
-    val iv = Vectorizer.vectorize(index, "FT", tag + "#dbi").cache()
-    iv.count(); qv.count()
+    def fastText(side: DataFrame, t: String) =
+      Vectorizer.vectorize(side, "FT", tag + t).as[(Long, Array[Float])].collect().sortBy(_._1)
+    val qv = fastText(queries, "#dbq")
+    val iv = fastText(index, "#dbi")
 
     // 2. Auto-Encoder trained on an index sample (stochastic via seed)
-    val sample = iv.as[(Long, Array[Float])].take(1500).map(_._2)
-    val w = trainAutoEncoder(sample, seed)
-    val bw = spark.sparkContext.broadcast(w)
-
-    val qEnc = qv.as[(Long, Array[Float])].map { case (id, v) => (id, encode(bw.value, v)) }.toDF("id", "vec")
-    val iEnc = iv.as[(Long, Array[Float])].map { case (id, v) => (id, encode(bw.value, v)) }.toDF("id", "vec")
+    val w = trainAutoEncoder(iv.take(1500).map(_._2), seed)
+    def encoded(vs: Array[(Long, Array[Float])]) = vs.map { case (id, v) => (id, encode(w, v)) }
 
     // 3. Self-supervision: auto-labelled positives (entity vs its token
     //    dropout) and negatives (random entity pairs)
-    val selfSample = index.select("id", "sentence").as[(Long, String)].take(600)
+    val selfSample = index.select("id", "sentence").as[(Long, String)].collect().sortBy(_._1).take(600)
     val feats = selfSample.zipWithIndex.flatMap { case ((id, s), i) =>
       val v  = encode(w, Vectorizer.embed("FT", s, Det.seed(seed, 3L, id)))
       val vp = encode(w, Vectorizer.embed("FT", dropout(s, Det.seed(seed, 4L, id)), Det.seed(seed, 5L, id)))
@@ -129,35 +129,27 @@ object DeepBlocker {
     val classifier = LogisticTrainer.train(
       feats.map(_._1), feats.map(_._2), feats.map(_._1), feats.map(_._2),
       epochs = 6, seed = seed)
-    val bc = spark.sparkContext.broadcast((classifier.weights, classifier.bias))
 
-    // 4. Over-fetch 2k candidates in encoded space, re-score with the
-    //    classifier (full encoder pass per candidate — the k-dependent cost)
+    // 4. Over-fetch 2k candidates in encoded space, re-score each with the
+    //    classifier (full encoder pass per candidate — the k-dependent
+    //    cost) and keep the k best per query by (score desc, nid asc)
     val overK = math.max(2 * k, k + 2)
-    val cands = ExactKnnBlocker.topK(qEnc, iEnc, overK)
-
-    val qvMap = spark.sparkContext.broadcast(qv.as[(Long, Array[Float])].collect().toMap)
-    val ivMap = spark.sparkContext.broadcast(iv.as[(Long, Array[Float])].collect().toMap)
-    val scoreUdf = udf { (qid: Long, nid: Long) =>
-      val wEnc = bw.value
-      val (cw, cb) = bc.value
-      val f = PairFeatures.features(encode(wEnc, qvMap.value(qid)), encode(wEnc, ivMap.value(nid)))
-      var m = cb.toDouble
-      var i = 0
-      while (i < f.length) { m += cw(i) * f(i); i += 1 }
-      m
-    }
-    val winS = Window.partitionBy("qid").orderBy(col("score").desc, col("nid").asc)
-    val top = cands
-      .withColumn("score", scoreUdf(col("qid"), col("nid")))
-      .withColumn("crank", row_number().over(winS))
-      .filter(col("crank") <= k)
-      .select(col("qid").as("id1"), col("nid").as("id2"))
-      .cache()
-    top.count()
-
-    val secs = (System.nanoTime() - t0) / 1e9
-    qv.unpersist(); iv.unpersist()
-    Blocked(top, secs)
+    val cands = ExactKnnBlocker.search(spark, encoded(qv), encoded(iv), overK).groupBy(_._1)
+    val bw = sc.broadcast(w)
+    val bIndex = sc.broadcast((iv.map(_._1), iv.map(_._2)))
+    val queryCands = qv.flatMap { case (qid, v) => cands.get(qid).map(rows => (qid, v, rows.map(_._2))) }
+    val top = sc.parallelize(queryCands.toSeq, sc.defaultParallelism * 4)
+      .flatMap { case (qid, v, nids) =>
+        val (ids, vecs) = bIndex.value
+        val scored = nids.map { nid =>
+          val f = PairFeatures.features(encode(bw.value, v),
+            encode(bw.value, vecs(java.util.Arrays.binarySearch(ids, nid))))
+          (classifier.margin(f), nid)
+        }
+        scored.sortWith { case ((s1, n1), (s2, n2)) => s1 > s2 || (s1 == s2 && n1 < n2) }
+          .take(k).map { case (_, nid) => (qid, nid) }
+      }
+      .collect()
+    Blocked(top.toSeq.toDF("id1", "id2"), (System.nanoTime() - t0) / 1e9)
   }
 }

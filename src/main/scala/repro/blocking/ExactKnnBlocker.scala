@@ -1,46 +1,62 @@
 package repro.blocking
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.rdd.RDD
+import org.apache.spark.sql.{DataFrame, SparkSession}
 
 /** Exact nearest-neighbour blocking for Clean-Clean ER (paper §4.3):
   * every entity of the *smaller* collection queries the other collection
   * and keeps its k nearest vectors by Euclidean distance.
   *
-  * Both sides are collected to the driver (a few MB for the paper's
-  * datasets at bench scale); the index is broadcast in [[KnnKernel]]'s
-  * tile layout, and the queries are cut into slices, about four per
-  * core, each answered in full by one task. No partial results are
-  * merged, so nothing is shuffled, and the output depends neither on how
-  * either side is partitioned nor on the number of cores. See
-  * [[KnnKernel]] for the float screen, its error bound and the exact
-  * double re-rank that makes the result the exact k-NN.
+  * Both sides are held on the driver (a few MB for the paper's datasets
+  * at bench scale); the index is broadcast in [[KnnKernel]]'s tile
+  * layout, and the queries are cut into slices, about four per core, each
+  * answered in full by one task. No partial results are merged, so
+  * nothing is shuffled, and the output depends neither on the order of
+  * either side nor on the number of cores. See [[KnnKernel]] for the
+  * float screen, its error bound and the exact double re-rank that makes
+  * the result the exact k-NN.
   */
 object ExactKnnBlocker extends Serializable {
 
   /** (qid, nid, dist, rank) of the min(k, |index|) nearest index rows per
-    * query row: `dist` is `Det.l2`, ranks 1.. follow (dist, nid).
+    * query, queries in input order: `dist` is `Det.l2`, ranks 1.. follow
+    * (dist, nid).
+    */
+  def search(spark: SparkSession, queries: Array[(Long, Array[Float])], index: Array[(Long, Array[Float])],
+             k: Int): Array[(Long, Long, Double, Int)] =
+    slices(spark, queries, index, k).collect().flatMap((rows _).tupled)
+
+  /** [[search]] on two (id, vec) frames, as a (qid, nid, dist, rank) frame
+    * whose rows are built in the tasks.
     */
   def topK(queries: DataFrame, index: DataFrame, k: Int): DataFrame = {
     val spark = queries.sparkSession
     import spark.implicits._
+    def collect(side: DataFrame) = side.select("id", "vec").as[(Long, Array[Float])].collect()
+    slices(spark, collect(queries), collect(index), k).flatMap((rows _).tupled).toDF("qid", "nid", "dist", "rank")
+  }
+
+  /** One record per query slice: its qids and their hits, as primitive
+    * arrays, so nothing is encoded row by row until a caller asks for rows.
+    */
+  private def slices(spark: SparkSession, queries: Array[(Long, Array[Float])],
+                     index: Array[(Long, Array[Float])], k: Int): RDD[(Array[Long], Array[KnnKernel.Hits])] = {
     require(k > 0, s"k must be positive, got $k")
-
-    val q = queries.select("id", "vec").as[(Long, Array[Float])].collect()
-    val x = index.select("id", "vec").as[(Long, Array[Float])].collect()
-    val dims = (q.iterator ++ x.iterator).map(_._2.length).toSet
+    val dims = (queries.iterator ++ index.iterator).map(_._2.length).toSet
     require(dims.size <= 1, s"vectors differ in dimension: ${dims.toSeq.sorted.mkString(", ")}")
-    if (q.isEmpty || x.isEmpty) return Seq.empty[(Long, Long, Double, Int)].toDF("qid", "nid", "dist", "rank")
+    val sc = spark.sparkContext
+    if (queries.isEmpty || index.isEmpty) return sc.emptyRDD
 
-    val bIndex = spark.sparkContext.broadcast(KnnKernel.Index(x))
-    val slices = math.min(q.length, spark.sparkContext.defaultParallelism * 4)
-    spark.sparkContext.parallelize(q.toSeq, slices)
+    val bIndex = sc.broadcast(KnnKernel.Index(index))
+    sc.parallelize(queries.toSeq, math.min(queries.length, sc.defaultParallelism * 4))
       .mapPartitions { it =>
         val batch = it.toArray
-        val hits = KnnKernel.search(bIndex.value, batch.map(_._2), k)
-        batch.iterator.zip(hits.iterator).flatMap { case ((qid, _), h) =>
-          h.nids.indices.iterator.map(r => (qid, h.nids(r), h.dists(r), r + 1))
-        }
+        Iterator(batch.map(_._1) -> KnnKernel.search(bIndex.value, batch.map(_._2), k))
       }
-      .toDF("qid", "nid", "dist", "rank")
   }
+
+  private def rows(qids: Array[Long], hits: Array[KnnKernel.Hits]): Iterator[(Long, Long, Double, Int)] =
+    qids.iterator.zip(hits.iterator).flatMap { case (qid, h) =>
+      h.nids.indices.iterator.map(r => (qid, h.nids(r), h.dists(r), r + 1))
+    }
 }

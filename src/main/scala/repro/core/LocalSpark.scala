@@ -8,14 +8,11 @@ import org.apache.spark.sql.SparkSession
   * the shuffle path.
   */
 object LocalSpark {
-  def session(appName: String): SparkSession = {
-    val s = SparkSession.builder()
+  def session(appName: String): SparkSession =
+    SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(appName)
       .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
-    s.sparkContext.setLogLevel("WARN")
-    s
-  }
 }

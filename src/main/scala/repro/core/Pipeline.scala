@@ -52,24 +52,24 @@ object Pipeline {
     finally { s1.unpersist(); s2.unpersist() }
   }
 
-  /** Both sides' (id, vec) frames, held on the driver, and the seconds
-    * the transform took (model Init excluded: Table 4 reports it apart).
+  /** Both sides' (id, vec) rows, collected to the driver, and the
+    * seconds the transform took (model Init excluded: Table 4 reports it
+    * apart).
     */
-  final case class Vectors(v1: DataFrame, v2: DataFrame, secs: Double)
+  final case class Vectors(v1: Array[(Long, Array[Float])], v2: Array[(Long, Array[Float])], secs: Double)
 
-  /** Vectorize both sides with noise tags "<name>#1" / "<name>#2". The
-    * vectors are collected, since exact k-NN brings both sides to the
-    * driver anyway.
+  /** Vectorize both sides with noise tags "<name>#1" / "<name>#2" and
+    * collect the vectors: exact k-NN runs on driver arrays.
     */
   def vectorize(src: Sources, model: String): Vectors = {
     val spark = src.s1.sparkSession
     import spark.implicits._
     Vectorizer.runtime(model)
     val t0 = System.nanoTime()
-    def local(side: DataFrame, n: Int) = Vectorizer.vectorize(side, model, s"${src.profile.name}#$n")
-      .as[(Long, Array[Float])].collect().toSeq.toDF("id", "vec")
-    val v1 = local(src.s1, 1)
-    val v2 = local(src.s2, 2)
+    def collect(side: DataFrame, n: Int) =
+      Vectorizer.vectorize(side, model, s"${src.profile.name}#$n").as[(Long, Array[Float])].collect()
+    val v1 = collect(src.s1, 1)
+    val v2 = collect(src.s2, 2)
     Vectors(v1, v2, (System.nanoTime() - t0) / 1e9)
   }
 
@@ -121,13 +121,10 @@ object Pipeline {
     * nearest entities of the other side.
     */
   def run(src: Sources, model: String, k: Int): Run = {
-    val spark = src.s1.sparkSession
-    import spark.implicits._
     val v = vectorize(src, model)
     val (queries, index) = src.querySides(v.v1, v.v2)
     val t0 = System.nanoTime()
-    val nb = ExactKnnBlocker.topK(queries, index, k)
-      .select("qid", "nid", "dist", "rank").as[(Long, Long, Double, Int)].collect()
+    val nb = ExactKnnBlocker.search(src.s1.sparkSession, queries, index, k)
     Run(src, v.secs, (System.nanoTime() - t0) / 1e9, nb)
   }
 }

@@ -1,5 +1,7 @@
 package repro.baselines
 
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions.desc
 import repro.SparkSpec
 import repro.core.Pipeline
 import repro.data.{DatasetProfiles, ERSynth}
@@ -74,5 +76,16 @@ class DeepBlockerSpec extends SparkSpec {
     val a = run(17L); val b = run(17L); val c = run(99L)
     assert(a == b, "same seed must reproduce")
     assert(a != c, "different seeds should differ somewhere")
+  }
+
+  test("block does not depend on the order or partitioning of either input") {
+    val p = DatasetProfiles("D1").scaled(0.2)
+    val s1 = ERSynth.source(spark, p, 1)
+    val s2 = ERSynth.source(spark, p, 2)
+    def run(q: DataFrame, i: DataFrame) =
+      DeepBlocker.block(q, i, k = 2, tag = "dborder").candidates.collect().map(r => (r.getLong(0), r.getLong(1))).toSet
+    val want = run(s1, s2)
+    assert(run(s1.repartition(3), s2.repartition(5)) == want)
+    assert(run(s1.orderBy(desc("id")), s2.orderBy(desc("id"))) == want)
   }
 }

@@ -38,7 +38,7 @@ class ExactKnnBlockerSpec extends SparkSpec {
   }
 
   test("k must be positive") {
-    intercept[IllegalArgumentException](ExactKnnBlocker.topK(vecDf(queries), vecDf(index), 0))
+    intercept[IllegalArgumentException](ExactKnnBlocker.search(spark, queries.toArray, index.toArray, 0))
   }
 
   test("agrees with brute force on random vectors") {
@@ -46,9 +46,11 @@ class ExactKnnBlockerSpec extends SparkSpec {
     val ri = (0L until 40L).map(i => (100L + i) -> Det.uniformVec(Det.seed(2L, i), 24))
     val k = 5
     import spark.implicits._
-    val got = ExactKnnBlocker.topK(vecDf(rq), vecDf(ri), k)
+    val got = ExactKnnBlocker.search(spark, rq.toArray, ri.toArray, k).sorted.toSeq
+    val adapted = ExactKnnBlocker.topK(vecDf(rq), vecDf(ri), k)
       .as[(Long, Long, Double, Int)].collect().sorted.toSeq
     assert(got == BruteForceKnn.topK(rq, ri, k).sorted)
+    assert(adapted == got)
   }
 
   test("ties broken by ascending nid") {
@@ -61,12 +63,9 @@ class ExactKnnBlockerSpec extends SparkSpec {
   }
 
   test("a tie at the k-th place keeps the smallest nid, whatever the arrival order") {
-    import spark.implicits._
-    val q = Seq(0L -> Array(0f))
-    val i = Seq(5L -> Array(1f), 3L -> Array(1f), 9L -> Array(1f))
-    val top = ExactKnnBlocker.topK(vecDf(q), vecDf(i).coalesce(1), 1)
-      .select("nid").as[Long].collect().toSeq
-    assert(top == Seq(3L))
+    val q = Array(0L -> Array(0f))
+    val i = Array(5L -> Array(1f), 3L -> Array(1f), 9L -> Array(1f))
+    Seq(i, i.reverse).foreach(index => assert(ExactKnnBlocker.search(spark, q, index, 1).map(_._2).toSeq == Seq(3L)))
   }
 
   test("output does not depend on how either side is partitioned or ordered") {
@@ -78,9 +77,13 @@ class ExactKnnBlockerSpec extends SparkSpec {
     val rq = grid(11L, 50, 0L); val ri = grid(12L, 300, 1000L)
     def rows(qs: org.apache.spark.sql.DataFrame, is: org.apache.spark.sql.DataFrame) =
       ExactKnnBlocker.topK(qs, is, 7).as[(Long, Long, Double, Int)].collect().sorted.toSeq
+    def searched(qs: Seq[(Long, Array[Float])], is: Seq[(Long, Array[Float])]) =
+      ExactKnnBlocker.search(spark, qs.toArray, is.toArray, 7).sorted.toSeq
     val want = BruteForceKnn.topK(rq, ri, 7).sorted
     val shuffled = new scala.util.Random(5).shuffle(ri)
     Seq(
+      searched(rq, shuffled),
+      searched(new scala.util.Random(6).shuffle(rq), ri.reverse),
       rows(vecDf(rq), vecDf(ri).repartition(1)),
       rows(vecDf(rq), vecDf(ri).repartition(7)),
       rows(vecDf(rq), vecDf(shuffled)),
@@ -90,6 +93,8 @@ class ExactKnnBlockerSpec extends SparkSpec {
   }
 
   test("an empty side gives an empty frame with the four columns") {
+    assert(ExactKnnBlocker.search(spark, Array.empty, index.toArray, 3).isEmpty)
+    assert(ExactKnnBlocker.search(spark, queries.toArray, Array.empty, 3).isEmpty)
     val empty = vecDf(Seq.empty)
     Seq(ExactKnnBlocker.topK(empty, vecDf(index), 3), ExactKnnBlocker.topK(vecDf(queries), empty, 3))
       .foreach { top =>
@@ -100,7 +105,7 @@ class ExactKnnBlockerSpec extends SparkSpec {
 
   test("a dimension mismatch between the sides fails on the driver") {
     val e = intercept[IllegalArgumentException](
-      ExactKnnBlocker.topK(vecDf(queries), vecDf(Seq(7L -> Array(1f, 2f, 3f))), 1))
+      ExactKnnBlocker.search(spark, queries.toArray, Array(7L -> Array(1f, 2f, 3f)), 1))
     assert(e.getMessage.contains("dimension"))
   }
 
