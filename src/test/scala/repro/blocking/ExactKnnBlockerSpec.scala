@@ -65,7 +65,7 @@ class ExactKnnBlockerSpec extends SparkSpec {
   test("a tie at the k-th place keeps the smallest nid, whatever the arrival order") {
     val q = Array(0L -> Array(0f))
     val i = Array(5L -> Array(1f), 3L -> Array(1f), 9L -> Array(1f))
-    Seq(i, i.reverse).foreach(index => assert(ExactKnnBlocker.search(spark, q, index, 1).map(_._2).toSeq == Seq(3L)))
+    Seq(i, i.reverse).foreach(is => assert(ExactKnnBlocker.search(spark, q, is, 1).map(_._2).toSeq == Seq(3L)))
   }
 
   test("output does not depend on how either side is partitioned or ordered") {
