@@ -150,6 +150,7 @@ object DeepBlocker {
           .take(k).map { case (_, nid) => (qid, nid) }
       }
       .collect()
+    bw.destroy(); bIndex.destroy()
     Blocked(top.toSeq.toDF("id1", "id2"), (System.nanoTime() - t0) / 1e9)
   }
 }

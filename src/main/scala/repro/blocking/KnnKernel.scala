@@ -10,27 +10,31 @@ import repro.util.Det
   *
   *  1. **Float screen.** Squared distances to every index row are summed
   *     in float, a tile of rows at a time, and a bounded max-heap keeps
-  *     the `k + Slack` smallest per query. The index is stored in tiles of
-  *     up to [[TileRows]] rows, one `Array[Float]` per dimension, so the
-  *     innermost loop (`accumulate`) walks two arrays from index 0 and
-  *     C2 turns it into SIMD code. Indexing one flat array at an offset
+  *     the `k + Slack` smallest per query. The screen reads the index in
+  *     tiles of up to [[TileRows]] rows, one `Array[Float]` per dimension,
+  *     so the innermost loop (`accumulate`) walks two arrays from index 0
+  *     and C2 turns it into SIMD code. Indexing one flat array at an offset
   *     (`tile(base + j)`) keeps C2 from vectorizing it and runs about six
   *     times slower. The JDK's Vector API would need `--add-modules` on
   *     every JVM that runs this code, so it is not used. Distances are
   *     summed as `(q_p - x_p)^2`, never as `|q|^2 + |x|^2 - 2 q.x`, which
   *     cancels catastrophically near distance 0.
   *  2. **Exact re-rank.** The survivors are re-scored with `Det.l2` in
-  *     double and sorted by (distance, id). This is exact whenever the
-  *     screen is certified: each float sum lies within a relative
-  *     `(dim + 4) * 2^-24` of the true squared distance, so if the largest
-  *     survivor exceeds the k-th smallest by more than twice that (the
-  *     test uses four times), no row outside the survivors can be among
-  *     the true k nearest. A query that is not certified (many rows at
-  *     almost the same distance, e.g. duplicate vectors) is answered by
-  *     a full double scan instead.
+  *     double and kept in (distance, id) order by insertion into a buffer
+  *     of k. This is exact whenever the screen is certified: each float
+  *     sum lies within a relative `(dim + 4) * 2^-24` of the true squared
+  *     distance, so if the largest survivor exceeds the k-th smallest by
+  *     more than twice that (the test uses four times), no row outside the
+  *     survivors can be among the true k nearest. A query that is not
+  *     certified (many rows at almost the same distance, e.g. duplicate
+  *     vectors) is answered by a full double scan instead.
   *
   * Rows are scanned in ascending id order, so ties in the screen also
   * resolve by id, and the result never depends on input order.
+  *
+  * An [[Index]] holds each vector once, row by row; that is all a
+  * broadcast serializes. The tiles are a transient, lazy copy that each
+  * JVM builds from the rows on its first search.
   */
 object KnnKernel {
 
@@ -46,13 +50,19 @@ object KnnKernel {
 
   private val FloatUlp = math.pow(2, -24)
 
-  /** The index rows sorted by id: `vecs` for the re-rank, and the same
-    * values in tiles for the screen, `tiles(t)(p)(j)` = component p of
-    * row `t * TileRows + j`.
+  /** The index rows sorted by id, each vector held once: `vecs` is what
+    * is serialized (a broadcast ships ids and rows only) and what the
+    * re-rank reads. `tiles(t)(p)(j)` = component p of row
+    * `t * TileRows + j` is the screen's layout of the same values; it is
+    * transient and built on first use, once in each JVM that holds the
+    * index.
     */
-  final class Index private (val ids: Array[Long], val vecs: Array[Array[Float]], val dim: Int,
-                             val tiles: Array[Array[Array[Float]]]) extends Serializable {
+  final class Index private (val ids: Array[Long], val vecs: Array[Array[Float]], val dim: Int)
+    extends Serializable {
     def size: Int = ids.length
+
+    @transient lazy val tiles: Array[Array[Array[Float]]] =
+      vecs.grouped(TileRows).map(t => Array.tabulate(dim)(p => t.map(_(p)))).toArray
   }
 
   object Index {
@@ -61,8 +71,7 @@ object KnnKernel {
       val vecs = sorted.map(_._2)
       val dim = if (vecs.isEmpty) 0 else vecs(0).length
       require(vecs.forall(_.length == dim), "index vectors differ in dimension")
-      val tiles = vecs.grouped(TileRows).map(t => Array.tabulate(dim)(p => t.map(_(p)))).toArray
-      new Index(sorted.map(_._1), vecs, dim, tiles)
+      new Index(sorted.map(_._1), vecs, dim)
     }
   }
 
@@ -82,9 +91,10 @@ object KnnKernel {
     val m = math.min(n, k + Slack)
     val heaps = Array.fill(queries.length)(new FloatMaxHeap(m))
     val acc = new Array[Float](TileRows)
+    val tiles = index.tiles
     var t = 0
-    while (t < index.tiles.length) {
-      val cols = index.tiles(t)
+    while (t < tiles.length) {
+      val cols = tiles(t)
       val base = t * TileRows
       val rows = math.min(TileRows, n - base)
       var qi = 0
@@ -101,7 +111,7 @@ object KnnKernel {
       t += 1
     }
     queries.indices.map { qi =>
-      val (vals, rows) = heaps(qi).sorted
+      val (vals, rows) = heaps(qi).drain()
       if (certified(vals, k, n, index.dim)) rerank(index, queries(qi), rows, k, screened = true)
       else rerank(index, queries(qi), Array.range(0, n), k, screened = false)
     }.toArray
@@ -118,21 +128,43 @@ object KnnKernel {
   /** True when no row outside `survivors` can be among the k nearest: the
     * last survivor's float value exceeds the k-th's by four times the
     * screen's relative error, plus an absolute term for subnormal sums.
+    * A NaN sum (from a NaN or infinite component) never certifies.
     */
   private def certified(vals: Array[Float], k: Int, n: Int, dim: Int): Boolean =
-    vals.length == n || {
+    vals.length == n || !vals.exists(_.isNaN) && {
       val kth = vals(k - 1).toDouble
       val last = vals(vals.length - 1).toDouble
       last <= Float.MaxValue &&
         last > kth * (1.0 + 4.0 * (dim + 4) * FloatUlp) + (dim + 4) * java.lang.Float.MIN_NORMAL
     }
 
-  /** The k nearest of `rows` by (`Det.l2`, id). */
+  /** The k nearest of `rows` by (`Det.l2`, id): each row is inserted into
+    * a sorted buffer of the best k so far, and skipped when it is not
+    * ahead of the buffer's last. Rows ascend with id, so (distance, row)
+    * orders as (distance, id); distances compare by
+    * `java.lang.Double.compare`, NaN last.
+    */
   private def rerank(index: Index, q: Array[Float], rows: Array[Int], k: Int, screened: Boolean): Hits = {
-    val d = rows.map(r => Det.l2(q, index.vecs(r)))
-    // rows ascend with id, so (distance, row) orders as (distance, id)
-    val order = rows.indices.sortBy(i => (d(i), rows(i))).take(k)
-    Hits(order.map(i => index.ids(rows(i))).toArray, order.map(d).toArray, screened)
+    val m = math.min(k, rows.length)
+    val best = new Array[Int](m)
+    val dists = new Array[Double](m)
+    def ahead(d: Double, r: Int, j: Int): Boolean = {
+      val c = java.lang.Double.compare(d, dists(j))
+      c < 0 || (c == 0 && r < best(j))
+    }
+    var held = 0
+    var i = 0
+    while (i < rows.length) {
+      val r = rows(i)
+      val d = Det.l2(q, index.vecs(r))
+      if (held < m || ahead(d, r, m - 1)) {
+        var j = if (held < m) { held += 1; held - 1 } else m - 1
+        while (j > 0 && ahead(d, r, j - 1)) { best(j) = best(j - 1); dists(j) = dists(j - 1); j -= 1 }
+        best(j) = r; dists(j) = d
+      }
+      i += 1
+    }
+    Hits(best.map(index.ids), dists, screened)
   }
 
   /** Bounded max-heap of (float value, row); keeps the `cap` smallest
@@ -150,10 +182,15 @@ object KnnKernel {
         vals(0) = v; rows(0) = row; siftDown(0)
       }
 
-    /** The held (values, rows) in ascending (value, row) order. */
-    def sorted: (Array[Float], Array[Int]) = {
-      val order = (0 until size).sortBy(i => (vals(i), rows(i)))
-      (order.map(vals).toArray, order.map(rows).toArray)
+    /** The held (values, rows) in ascending (value, row) order, by an
+      * in-place heap-sort; the heap is empty afterwards. A held NaN value
+      * leaves the order unspecified, and `certified` then fails.
+      */
+    def drain(): (Array[Float], Array[Int]) = {
+      val n = size
+      while (size > 1) { size -= 1; swap(0, size); siftDown(0) }
+      size = 0
+      (java.util.Arrays.copyOf(vals, n), java.util.Arrays.copyOf(rows, n))
     }
 
     // (value, row) order: a later row is larger at equal value

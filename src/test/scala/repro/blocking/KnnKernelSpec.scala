@@ -21,8 +21,9 @@ class KnnKernelSpec extends AnyFunSuite {
     val hits = run(index, queries, k)
     queries.zip(hits).zipWithIndex.foreach { case ((q, h), qi) =>
       val want = BruteForceKnn.nearest(q, index, k)
-      // == on doubles: the distances must be bit-identical, not close
-      assert(h.nids.toSeq == want.map(_._1) && h.dists.toSeq == want.map(_._2), s"$clue, query $qi")
+      // the distances must be bit-identical, not close (NaN included)
+      def bits(ds: Seq[Double]) = ds.map(java.lang.Double.doubleToLongBits)
+      assert(h.nids.toSeq == want.map(_._1) && bits(h.dists.toSeq) == bits(want.map(_._2)), s"$clue, query $qi")
     }
     hits
   }
@@ -78,6 +79,26 @@ class KnnKernelSpec extends AnyFunSuite {
     }
     val index = grid(1L, T + 50, 100L)
     assertOracle(index, grid(2L, 20, 0L).map(_._2), 12, "grid")
+  }
+
+  test("NaN and infinite components match the oracle, NaN distances last") {
+    val dim = 16
+    val index = vecs(11L, T + 9, dim, idBase = 0L).zipWithIndex.map { case ((id, v), i) =>
+      if (i % 97 == 0) v(i % dim) = Float.NaN else if (i % 89 == 0) v(i % dim) = Float.PositiveInfinity
+      (id, v)
+    }
+    val queries = vecs(12L, 4, dim, idBase = 0L).map(_._2) :+ Array.fill(dim)(Float.NaN)
+    assertOracle(index, queries, 9, "non-finite")
+  }
+
+  test("a serialized index holds each vector once") {
+    val (n, dim) = (2 * T + 7, 64)
+    val index = KnnKernel.Index(vecs(13L, n, dim, idBase = 0L).toArray)
+    KnnKernel.search(index, Array(Array.fill(dim)(0.5f)), 3) // builds the tiles
+    val bytes = new java.io.ByteArrayOutputStream
+    val out = new java.io.ObjectOutputStream(bytes)
+    out.writeObject(index); out.close()
+    assert(bytes.size < 1.25 * n * dim * 4, s"${bytes.size} bytes for ${n * dim * 4} bytes of floats")
   }
 
   test("k must be positive and dimensions must agree") {

@@ -3,6 +3,7 @@ package repro.matching
 import org.scalatest.funsuite.AnyFunSuite
 import org.scalacheck.{Gen, Prop}
 import repro.PropSupport
+import repro.util.Det
 import UniqueMappingClustering.{Match => M}
 
 class UMCSpec extends AnyFunSuite with PropSupport {
@@ -48,6 +49,39 @@ class UMCSpec extends AnyFunSuite with PropSupport {
       val direct   = UniqueMappingClustering.cluster(ps, d)
       viaSweep == direct
     }, "prefix property")
+  }
+
+  /** Matches with their similarity's bits, so -0.0 and 0.0 differ. */
+  private def bits(ms: Vector[M]) = ms.map(m => (m.id1, m.id2, java.lang.Double.doubleToRawLongBits(m.sim)))
+
+  private val ties = Seq(Double.NaN, 0.0, -0.0, 0.25, 0.5, 0.75, 1.0)
+
+  test("sweep and cluster equal the tuple-sorting reference exactly") {
+    val sim = Gen.frequency(4 -> Gen.oneOf(ties), 1 -> Gen.choose(-1.0, 1.0))
+    val pair = for { a <- Gen.choose(0L, 9L); b <- Gen.choose(100L, 109L); s <- sim } yield (a, b, s)
+    val input = for {
+      n <- Gen.choose(0, 120); ps <- Gen.listOfN(n, pair); dups <- Gen.choose(0, 12)
+    } yield ps ++ ps.take(dups)
+    val delta = Gen.oneOf(Gen.oneOf(ties.filterNot(_.isNaN)), Gen.choose(-0.5, 1.0))
+    val small = Gen.oneOf(Gen.choose(0L, 10L), Gen.const(Long.MaxValue))
+    checkProp(Prop.forAll(input, delta, small) { (ps, d, s) =>
+      bits(UniqueMappingClustering.sweep(ps, s)) == bits(ReferenceUmc.run(ps, 0.0, s)) &&
+        bits(UniqueMappingClustering.cluster(ps, d, s)) == bits(ReferenceUmc.run(ps, d, s))
+    }, "reference UMC")
+  }
+
+  test("a large tied input equals the reference") {
+    val ps = (0 until 5000).map { i =>
+      (Det.nextInt(Det.seed(1L, i.toLong), 700).toLong, Det.nextInt(Det.seed(2L, i.toLong), 900).toLong,
+        ties(Det.nextInt(Det.seed(3L, i.toLong), ties.length)))
+    }
+    assert(bits(UniqueMappingClustering.sweep(ps, 650L)) == bits(ReferenceUmc.run(ps, 0.0, 650L)))
+    assert(bits(UniqueMappingClustering.cluster(ps, 0.5)) == bits(ReferenceUmc.run(ps, 0.5, Long.MaxValue)))
+  }
+
+  test("NaN similarities are never matched, and 0.0 is processed before -0.0") {
+    val m = UniqueMappingClustering.sweep(Seq((1L, 10L, Double.NaN), (2L, 10L, -0.0), (3L, 10L, 0.0), (2L, 11L, 0.1)))
+    assert(bits(m) == bits(Vector(M(2L, 11L, 0.1), M(3L, 10L, 0.0))))
   }
 
   test("deterministic under input permutation") {
