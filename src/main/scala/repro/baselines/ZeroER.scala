@@ -1,8 +1,8 @@
 package repro.baselines
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.expressions.Window
-import org.apache.spark.sql.functions._
+import scala.collection.mutable
+import org.apache.spark.sql.DataFrame
+import repro.data.EntityRow
 import repro.embed.Tokenizer
 import repro.matching.MatchMetrics
 
@@ -54,32 +54,85 @@ object ZeroER {
     if (union == 0) 0.0 else inter.toDouble / union
   }
 
-  /** Token-overlap blocking: entities sharing a non-frequent token become
-    * candidates; each left entity keeps its `cap` highest-overlap rights.
+  /** One source on the driver, in id order: each entity's id, attribute
+    * values and distinct sentence tokens.
     */
-  def overlapBlocking(s1: DataFrame, s2: DataFrame, cap: Int = 500): DataFrame = {
-    val spark = s1.sparkSession
-    import spark.implicits._
+  private final class Side(rows: Array[EntityRow]) {
+    private val sorted = rows.sortBy(_.id)
+    val ids: Array[Long] = sorted.map(_.id)
+    require(ids.indices.drop(1).forall(i => ids(i - 1) < ids(i)), "entity ids must be unique within a source")
+    val attrs: Array[Seq[String]] = sorted.map(_.attrs)
+    val tokens: Array[Array[String]] = sorted.map(r => Tokenizer.tokenize(r.sentence).distinct)
+    def size: Int = ids.length
+  }
 
-    def tokensOf(df: DataFrame, idCol: String) =
-      df.select(col("id").as(idCol), col("sentence"))
-        .as[(Long, String)]
-        .flatMap { case (id, s) => Tokenizer.tokenize(s).distinct.map(t => (id, t)) }
-        .toDF(idCol, "token")
+  /** Token-overlap blocking: entities sharing a non-frequent token become
+    * candidates; each left entity keeps its `cap` highest-overlap rights,
+    * ties broken by the lower right id. Pairs come in (id1 asc, overlap
+    * desc, id2 asc) order.
+    */
+  def overlapBlocking(e1: Array[EntityRow], e2: Array[EntityRow], cap: Int = 500): Array[(Long, Long)] = {
+    val (s1, s2) = (new Side(e1), new Side(e2))
+    val (p1, p2) = candidates(s1, s2, cap, () => ())
+    Array.tabulate(p1.length)(c => (s1.ids(p1(c)), s2.ids(p2(c))))
+  }
 
-    val t1 = tokensOf(s1, "id1")
-    val t2 = tokensOf(s2, "id2")
-    val n2 = s2.count()
-    // drop only truly frequent stop-tokens (>20% of the right collection),
-    // as Magellan's overlap blocker would
-    val frequent = t2.groupBy("token").count().filter(col("count") > n2 * 0.20).select("token")
-    val t2f = t2.join(frequent, Seq("token"), "left_anti")
-    val t1f = t1.join(frequent, Seq("token"), "left_anti")
+  /** [[overlapBlocking]] over positions of the two sides, by an inverted
+    * index of side 2: a token in more than 20% of side 2's entities is a
+    * stop-token, as in Magellan's overlap blocker, and is dropped. Each
+    * left entity counts its overlaps in one array, reset through the list
+    * of the rights it touched. `check` runs every 256 left entities.
+    */
+  private def candidates(s1: Side, s2: Side, cap: Int, check: () => Unit): (Array[Int], Array[Int]) = {
+    val n2 = s2.size
+    val dict = mutable.HashMap.empty[String, Int]
+    val docs2 = s2.tokens.map(_.map(tok => dict.getOrElseUpdate(tok, dict.size)))
+    val nTok = dict.size
+    // postings of token t: post(start(t) until start(t + 1)), side-2 positions ascending
+    val start = new Array[Int](nTok + 1)
+    docs2.foreach(_.foreach(t => start(t + 1) += 1))
+    val frequent = Array.tabulate(nTok)(t => start(t + 1) > n2 * 0.20)
+    var t = 0
+    while (t < nTok) { start(t + 1) += start(t); t += 1 }
+    val post = new Array[Int](start(nTok))
+    val fill = java.util.Arrays.copyOf(start, nTok)
+    var p = 0
+    while (p < n2) { docs2(p).foreach { d => post(fill(d)) = p; fill(d) += 1 }; p += 1 }
 
-    val overlaps = t1f.join(t2f, Seq("token"))
-      .groupBy("id1", "id2").agg(count(lit(1)).as("overlap"))
-    val w = Window.partitionBy("id1").orderBy(col("overlap").desc, col("id2").asc)
-    overlaps.withColumn("r", row_number().over(w)).filter(col("r") <= cap).select("id1", "id2")
+    val overlap = new Array[Int](n2)
+    val touched = new Array[Int](n2)
+    val keys = new Array[Long](n2)
+    val out1 = Array.newBuilder[Int]; val out2 = Array.newBuilder[Int]
+    var i = 0
+    while (i < s1.size) {
+      if ((i & 0xff) == 0) check()
+      var nt = 0
+      s1.tokens(i).foreach { tok =>
+        val id = dict.getOrElse(tok, -1)
+        if (id >= 0 && !frequent(id)) {
+          var q = start(id)
+          while (q < start(id + 1)) {
+            val r = post(q)
+            if (overlap(r) == 0) { touched(nt) = r; nt += 1 }
+            overlap(r) += 1
+            q += 1
+          }
+        }
+      }
+      // ascending keys = overlap desc, then position (= id2) asc
+      var k = 0
+      while (k < nt) {
+        val r = touched(k)
+        keys(k) = (Int.MaxValue - overlap(r)).toLong << 32 | r
+        overlap(r) = 0
+        k += 1
+      }
+      java.util.Arrays.sort(keys, 0, nt)
+      k = 0
+      while (k < math.min(nt, cap)) { out1 += i; out2 += keys(k).toInt; k += 1 }
+      i += 1
+    }
+    (out1.result(), out2.result())
   }
 
   private final class Timeout extends RuntimeException
@@ -98,25 +151,26 @@ object ZeroER {
 
     try {
       // ---- preprocessing phase: blocking + feature computation ----
-      val cands = overlapBlocking(s1, s2, cap).collect().map(r => (r.getLong(0), r.getLong(1)))
+      def rows(s: DataFrame) = new Side(s.select("id", "attrs", "sentence").as[EntityRow].collect())
+      val side1 = rows(s1); val side2 = rows(s2)
+      val (c1, c2) = candidates(side1, side2, cap, () => check())
       check()
-
-      val a1 = s1.select("id", "attrs").as[(Long, Seq[String])].collect().toMap
-      val a2 = s2.select("id", "attrs").as[(Long, Seq[String])].collect().toMap
-      val minA = math.min(a1.head._2.length, a2.head._2.length)
 
       // strictly schema-based features: attribute i vs attribute i only —
       // misplaced values land in the wrong column and zero these out,
       // which is exactly why the paper reports F1 ≈ 0 for ZeroER on D1
-      val feats = new Array[Array[Double]](cands.length)
+      val minA = if (c1.isEmpty) 0 else math.min(side1.attrs(0).length, side2.attrs(0).length)
+      def tokenSets(side: Side) = side.attrs.map(v => Array.tabulate(minA)(a => Tokenizer.tokenize(v(a)).toSet))
+      val sets1 = tokenSets(side1); val sets2 = tokenSets(side2)
+      val feats = new Array[Array[Double]](c1.length)
       var c = 0
-      while (c < cands.length) {
-        val (i1, i2) = cands(c)
-        val v1 = a1(i1); val v2 = a2(i2)
+      while (c < c1.length) {
+        val v1 = side1.attrs(c1(c)); val v2 = side2.attrs(c2(c))
+        val j1 = sets1(c1(c)); val j2 = sets2(c2(c))
         val f = new Array[Double](2 * minA)
         var a = 0
         while (a < minA) {
-          f(2 * a)     = jaccard(Tokenizer.tokenize(v1(a)).toSet, Tokenizer.tokenize(v2(a)).toSet)
+          f(2 * a)     = jaccard(j1(a), j2(a))
           f(2 * a + 1) = levSim(v1(a), v2(a))
           a += 1
         }
@@ -129,7 +183,7 @@ object ZeroER {
       // ---- matching phase: 2-component diagonal GMM via EM ----
       val tm0 = System.nanoTime()
       val post = emPosteriors(feats, () => check())
-      val predicted = cands.zip(post).collect { case (p, q) if q > 0.5 => p }.toSet
+      val predicted = post.indices.collect { case c if post(c) > 0.5 => (side1.ids(c1(c)), side2.ids(c2(c))) }.toSet
       val matchSecs = (System.nanoTime() - tm0) / 1e9
 
       val gt = groundTruth.select("id1", "id2").as[(Long, Long)].collect().toSet
@@ -138,21 +192,28 @@ object ZeroER {
     } catch { case _: Timeout => None }
   }
 
-  /** Posterior of the match component per feature vector. */
+  /** Posterior of the match component per feature vector. The rows are
+    * copied once into one row-major matrix, and each iteration takes the
+    * log of each variance once per feature; the sums run in row order.
+    */
   def emPosteriors(feats: Array[Array[Double]], check: () => Unit, iters: Int = 30): Array[Double] = {
     val n = feats.length
     if (n == 0) return Array.empty
     val d = feats(0).length
+    val x = new Array[Double](n * d)
+    var i = 0
+    while (i < n) { System.arraycopy(feats(i), 0, x, i * d, d); i += 1 }
     val score = feats.map(_.sum)
     val sorted = score.sorted
     val cut = sorted(math.min(n - 1, (0.99 * n).toInt)) // top 1% seeds the match comp
 
     val resp = new Array[Double](n)
-    var i = 0
+    i = 0
     while (i < n) { resp(i) = if (score(i) >= cut) 0.9 else 0.1; i += 1 }
 
     val muM = new Array[Double](d); val muU = new Array[Double](d)
     val vaM = new Array[Double](d); val vaU = new Array[Double](d)
+    val lgM = new Array[Double](d); val lgU = new Array[Double](d)
     var piM = 0.1
 
     var it = 0
@@ -163,9 +224,10 @@ object ZeroER {
       java.util.Arrays.fill(muM, 0.0); java.util.Arrays.fill(muU, 0.0)
       i = 0
       while (i < n) {
-        wM += resp(i)
+        val r = resp(i); val u = 1 - r; val row = i * d
+        wM += r
         var j = 0
-        while (j < d) { muM(j) += resp(i) * feats(i)(j); muU(j) += (1 - resp(i)) * feats(i)(j); j += 1 }
+        while (j < d) { muM(j) += r * x(row + j); muU(j) += u * x(row + j); j += 1 }
         i += 1
       }
       val wU = n - wM
@@ -174,10 +236,11 @@ object ZeroER {
       java.util.Arrays.fill(vaM, 0.0); java.util.Arrays.fill(vaU, 0.0)
       i = 0
       while (i < n) {
+        val r = resp(i); val u = 1 - r; val row = i * d
         j = 0
         while (j < d) {
-          val dm = feats(i)(j) - muM(j); val du = feats(i)(j) - muU(j)
-          vaM(j) += resp(i) * dm * dm; vaU(j) += (1 - resp(i)) * du * du
+          val dm = x(row + j) - muM(j); val du = x(row + j) - muU(j)
+          vaM(j) += r * dm * dm; vaU(j) += u * du * du
           j += 1
         }
         i += 1
@@ -186,22 +249,27 @@ object ZeroER {
       while (j < d) {
         vaM(j) = math.max(vaM(j) / math.max(wM, 1e-9), 1e-4)
         vaU(j) = math.max(vaU(j) / math.max(wU, 1e-9), 1e-4)
+        lgM(j) = math.log(2 * math.Pi * vaM(j))
+        lgU(j) = math.log(2 * math.Pi * vaU(j))
         j += 1
       }
       piM = math.min(math.max(wM / n, 1e-4), 1 - 1e-4)
+      val lpM = math.log(piM); val lpU = math.log(1 - piM)
       // E-step
       i = 0
       while (i < n) {
-        var lm = math.log(piM); var lu = math.log(1 - piM)
+        var lm = lpM; var lu = lpU
+        val row = i * d
         j = 0
         while (j < d) {
-          val dm = feats(i)(j) - muM(j); val du = feats(i)(j) - muU(j)
-          lm += -0.5 * (math.log(2 * math.Pi * vaM(j)) + dm * dm / vaM(j))
-          lu += -0.5 * (math.log(2 * math.Pi * vaU(j)) + du * du / vaU(j))
+          val dm = x(row + j) - muM(j); val du = x(row + j) - muU(j)
+          lm += -0.5 * (lgM(j) + dm * dm / vaM(j))
+          lu += -0.5 * (lgU(j) + du * du / vaU(j))
           j += 1
         }
         val mx = math.max(lm, lu)
-        resp(i) = math.exp(lm - mx) / (math.exp(lm - mx) + math.exp(lu - mx))
+        val em = math.exp(lm - mx); val eu = math.exp(lu - mx)
+        resp(i) = em / (em + eu)
         i += 1
       }
       it += 1

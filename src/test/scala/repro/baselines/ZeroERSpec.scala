@@ -1,9 +1,16 @@
 package repro.baselines
 
-import repro.SparkSpec
-import repro.data.{DatasetProfiles, ERSynth}
+import org.apache.spark.sql.DataFrame
+import org.scalacheck.{Gen, Prop}
+import repro.{PropSupport, SparkSpec}
+import repro.data.{DatasetProfiles, ERSynth, EntityRow}
 
-class ZeroERSpec extends SparkSpec {
+class ZeroERSpec extends SparkSpec with PropSupport {
+
+  private def rows(df: DataFrame): Array[EntityRow] = {
+    val s = spark; import s.implicits._
+    df.as[EntityRow].collect()
+  }
 
   test("levSim basics") {
     assert(ZeroER.levSim("abc", "abc") == 1.0)
@@ -46,7 +53,7 @@ class ZeroERSpec extends SparkSpec {
     val p = DatasetProfiles("D4").scaled(0.03)
     val s1 = ERSynth.source(spark, p, 1)
     val s2 = ERSynth.source(spark, p, 2)
-    val cands = ZeroER.overlapBlocking(s1, s2).collect().map(r => (r.getLong(0), r.getLong(1))).toSet
+    val cands = ZeroER.overlapBlocking(rows(s1), rows(s2)).toSet
     val gt = ERSynth.groundTruth(spark, p).collect().map(r => (r.getLong(0), r.getLong(1))).toSet
     val rec = gt.count(cands.contains).toDouble / gt.size
     assert(rec > 0.7, s"overlap blocking recall $rec")
@@ -80,5 +87,56 @@ class ZeroERSpec extends SparkSpec {
       ERSynth.source(spark, p, 1), ERSynth.source(spark, p, 2),
       ERSynth.groundTruth(spark, p), budgetSecs = 0.001)
     assert(res.isEmpty)
+  }
+
+  private def referenceBlocking(s1: DataFrame, s2: DataFrame, cap: Int): Set[(Long, Long)] =
+    ReferenceZeroER.overlapBlocking(s1, s2, cap).collect().map(r => (r.getLong(0), r.getLong(1))).toSet
+
+  // D4: clean titles; D1: missing and misplaced values; D3: long text with frequent tokens
+  for ((ds, scale) <- Seq(("D4", 0.03), ("D1", 0.05), ("D3", 0.02))) {
+    test(s"overlap blocking equals the Spark SQL reference on $ds x$scale, also at cap 3 and on permuted inputs") {
+      val p = DatasetProfiles(ds).scaled(scale)
+      val s1 = ERSynth.source(spark, p, 1).cache()
+      val s2 = ERSynth.source(spark, p, 2).cache()
+      try {
+        val (e1, e2) = (rows(s1), rows(s2))
+        val shuffle = new scala.util.Random(7)
+        for (cap <- Seq(500, 3)) {
+          val blocked = ZeroER.overlapBlocking(e1, e2, cap)
+          assert(blocked.nonEmpty)
+          assert(blocked.toSet == referenceBlocking(s1, s2, cap), s"cap $cap")
+          assert(blocked.distinct.length == blocked.length, "a pair is repeated")
+          assert(blocked.groupBy(_._1).forall(_._2.length <= cap), s"more than $cap rights for a left entity")
+          assert(blocked.map(_._1).toSeq == blocked.map(_._1).sorted.toSeq, "left ids out of order")
+          assert(ZeroER.overlapBlocking(e1.reverse, e2.reverse, cap).sameElements(blocked), "reversed inputs")
+          assert(ZeroER.overlapBlocking(shuffle.shuffle(e1.toSeq).toArray, shuffle.shuffle(e2.toSeq).toArray, cap)
+            .sameElements(blocked), "shuffled inputs")
+        }
+      } finally { s1.unpersist(); s2.unpersist() }
+    }
+  }
+
+  test("emPosteriors equals the reference bit for bit on random matrices") {
+    // values from a small grid (duplicate rows, ties at the 99% cut) or uniform;
+    // constant columns hit the 1e-4 variance floor
+    val gen = for {
+      n <- Gen.frequency(1 -> Gen.const(1), 6 -> Gen.choose(2, 300))
+      d <- Gen.frequency(1 -> Gen.const(1), 4 -> Gen.choose(2, 8))
+      constCols <- Gen.listOfN(d, Gen.frequency(1 -> true, 3 -> false))
+      grid <- Gen.oneOf(true, false)
+      seed <- Gen.choose(0L, Long.MaxValue)
+    } yield {
+      val rnd = new scala.util.Random(seed)
+      Array.tabulate(n, d) { (_, j) =>
+        if (constCols(j)) 0.5
+        else if (grid) rnd.nextInt(5) / 4.0
+        else rnd.nextDouble()
+      }
+    }
+    checkProp(Prop.forAll(gen) { feats =>
+      val got = ZeroER.emPosteriors(feats, () => ()).map(java.lang.Double.doubleToRawLongBits)
+      val want = ReferenceZeroER.emPosteriors(feats).map(java.lang.Double.doubleToRawLongBits)
+      got.sameElements(want)
+    }, "emPosteriors vs ReferenceZeroER")
   }
 }
