@@ -117,14 +117,15 @@ object DeepBlocker {
     def encoded(vs: Array[(Long, Array[Float])]) = vs.map { case (id, v) => (id, encode(w, v)) }
 
     // 3. Self-supervision: auto-labelled positives (entity vs its token
-    //    dropout) and negatives (random entity pairs)
+    //    dropout) and negatives (random pairs within the sample, so each
+    //    negative is another sample's anchor, embedded once)
     val selfSample = index.select("id", "sentence").as[(Long, String)].collect().sortBy(_._1).take(600)
-    val feats = selfSample.zipWithIndex.flatMap { case ((id, s), i) =>
-      val v  = encode(w, Vectorizer.embed("FT", s, Det.seed(seed, 3L, id)))
+    val anchors = selfSample.map { case (id, s) => encode(w, Vectorizer.embed("FT", s, Det.seed(seed, 3L, id))) }
+    val feats = selfSample.zip(anchors).flatMap { case ((id, s), v) =>
       val vp = encode(w, Vectorizer.embed("FT", dropout(s, Det.seed(seed, 4L, id)), Det.seed(seed, 5L, id)))
-      val (jid, js) = selfSample(Det.nextInt(Det.seed(seed, 6L, id), selfSample.length))
-      val vn = encode(w, Vectorizer.embed("FT", js, Det.seed(seed, 3L, jid)))
-      Seq((PairFeatures.features(v, vp), 1), (PairFeatures.features(v, vn), if (jid == id) 1 else 0))
+      val j  = Det.nextInt(Det.seed(seed, 6L, id), selfSample.length)
+      Seq((PairFeatures.features(v, vp), 1),
+          (PairFeatures.features(v, anchors(j)), if (selfSample(j)._1 == id) 1 else 0))
     }
     val classifier = LogisticTrainer.train(
       feats.map(_._1), feats.map(_._2), feats.map(_._1), feats.map(_._2),

@@ -24,17 +24,12 @@ object Tokenizer extends Serializable {
     out.toArray
   }
 
-  /** Character n-grams (3..4) of a token padded with `<`/`>`, as FastText. */
-  def charNgrams(token: String, minN: Int = 3, maxN: Int = 4): Array[String] = {
+  /** Character 3-grams of a token padded with `<`/`>`, as FastText; the
+    * padded token itself when no 3-gram fits.
+    */
+  def charNgrams(token: String): Array[String] = {
     val padded = "<" + token + ">"
-    val out = new ArrayBuffer[String](2 * padded.length)
-    var n = minN
-    while (n <= maxN) {
-      var i = 0
-      while (i + n <= padded.length) { out += padded.substring(i, i + n); i += 1 }
-      n += 1
-    }
-    if (out.isEmpty) out += padded
-    out.toArray
+    if (padded.length < 3) Array(padded)
+    else Array.tabulate(padded.length - 2)(i => padded.substring(i, i + 3))
   }
 }

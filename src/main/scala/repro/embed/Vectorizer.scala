@@ -127,7 +127,7 @@ object Vectorizer extends Serializable {
   }
 
   private def addNgramVec(rt: ModelRuntime, token: String, acc: Array[Float], weight: Float): Unit = {
-    val grams = Tokenizer.charNgrams(token, 3, 3)
+    val grams = Tokenizer.charNgrams(token)
     val inv   = weight / grams.length
     var g = 0
     while (g < grams.length) {

@@ -45,35 +45,6 @@ object LogisticTrainer {
     if (2 * tp + fp + fn == 0) 0.0 else 2.0 * tp / (2 * tp + fp + fn)
   }
 
-  /** Per-dimension standardization fitted on the training set. Rescales
-    * the compressed signal dimensions of BERT-family embeddings back to
-    * unit scale — the optimization-level counterpart of fine-tuning's
-    * re-weighting of the frozen encoder's output layer.
-    */
-  final case class Scaler(mean: Array[Float], invStd: Array[Float]) {
-    def apply(x: Array[Float]): Array[Float] = {
-      val out = new Array[Float](x.length)
-      var i = 0
-      while (i < x.length) { out(i) = (x(i) - mean(i)) * invStd(i); i += 1 }
-      out
-    }
-  }
-
-  def fitScaler(xs: Array[Array[Float]]): Scaler = {
-    require(xs.nonEmpty, "cannot fit scaler on empty data")
-    val d = xs(0).length
-    val mean = new Array[Float](d)
-    val m2   = new Array[Float](d)
-    xs.foreach { x => var i = 0; while (i < d) { mean(i) += x(i); i += 1 } }
-    var i = 0
-    while (i < d) { mean(i) /= xs.length; i += 1 }
-    xs.foreach { x => var j = 0; while (j < d) { val c = x(j) - mean(j); m2(j) += c * c; j += 1 } }
-    val invStd = new Array[Float](d)
-    i = 0
-    while (i < d) { invStd(i) = (1.0 / math.max(math.sqrt(m2(i) / xs.length), 1e-4)).toFloat; i += 1 }
-    Scaler(mean, invStd)
-  }
-
   /** Train with epoch-wise validation; returns the epoch maximizing
     * validation F1 (the paper's fix of EMTransformer's overfitting).
     */

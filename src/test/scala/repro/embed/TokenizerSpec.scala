@@ -45,11 +45,12 @@ class TokenizerSpec extends AnyFunSuite with PropSupport {
   }
 
   test("charNgrams of short token is the padded token") {
-    assert(Tokenizer.charNgrams("ab", 3, 4).toSeq == Seq("<ab", "ab>", "<ab>"))
+    assert(Tokenizer.charNgrams("a").toSeq == Seq("<a>"))
+    assert(Tokenizer.charNgrams("").toSeq == Seq("<>"))
   }
 
   test("charNgrams covers the padded string") {
-    val grams = Tokenizer.charNgrams("abcd", 3, 3).toSeq
+    val grams = Tokenizer.charNgrams("abcd").toSeq
     assert(grams == Seq("<ab", "abc", "bcd", "cd>"))
   }
 
@@ -61,8 +62,8 @@ class TokenizerSpec extends AnyFunSuite with PropSupport {
   }
 
   test("typo-ed tokens share most 3-grams") {
-    val a = Tokenizer.charNgrams("resolution", 3, 3).toSet
-    val b = Tokenizer.charNgrams("resolutoin", 3, 3).toSet // swapped chars
+    val a = Tokenizer.charNgrams("resolution").toSet
+    val b = Tokenizer.charNgrams("resolutoin").toSet // swapped chars
     val jac = a.intersect(b).size.toDouble / a.union(b).size
     assert(jac > 0.35, s"jaccard $jac") // word-level identity would be 0
   }

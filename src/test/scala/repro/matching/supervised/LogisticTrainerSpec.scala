@@ -82,17 +82,6 @@ class LogisticTrainerSpec extends AnyFunSuite {
     assert(buf.toSeq != before)
   }
 
-  test("scaler standardizes train features") {
-    val xs = blob(200, 4, 0.7f, 9L)
-    val sc = LogisticTrainer.fitScaler(xs)
-    val scaled = xs.map(sc(_))
-    (0 until 4).foreach { j =>
-      val col = scaled.map(_(j).toDouble)
-      val mean = col.sum / col.length
-      assert(math.abs(mean) < 1e-3, s"dim $j mean $mean")
-    }
-  }
-
   test("margin is linear in features") {
     val m = TrainedModel(Array(1f, -2f), 0.5f, 0, 0.0)
     assert(math.abs(m.margin(Array(2f, 1f)) - 0.5) < 1e-6)
