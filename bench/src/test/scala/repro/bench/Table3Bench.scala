@@ -7,7 +7,7 @@ import repro.tables.Table3
 class Table3Bench extends SparkSpec {
 
   test("Table 3: supervised matching datasets") {
-    val report = Table3.run(spark)
+    val report = Table3.run()
     report.print()
     report.counts.foreach { case (p, total, testN, dups) =>
       val (pT, pTest, pD, pA) = Table3.paper(p.name)

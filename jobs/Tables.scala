@@ -14,7 +14,7 @@ import repro.tables._
 object Tables {
 
   private val producers: Seq[(String, SparkSession => Report)] = Seq(
-    "1" -> (_ => Table1.run()), "2" -> (Table2.run(_)), "3" -> (Table3.run(_)),
+    "1" -> (_ => Table1.run()), "2" -> (Table2.run(_)), "3" -> (_ => Table3.run()),
     "4" -> (Table4.run(_, benchScale)), "5a" -> (Table5a.run(_, benchScale)),
     "5b" -> (Table5b.run(_, benchScale)), "6" -> (Table6.run(_)),
     "effectiveness" -> (Effectiveness.run(_, benchScale)))

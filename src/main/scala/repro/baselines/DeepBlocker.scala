@@ -2,6 +2,7 @@ package repro.baselines
 
 import org.apache.spark.sql.DataFrame
 import repro.blocking.ExactKnnBlocker
+import repro.core.LocalSpark
 import repro.embed.{Tokenizer, Vectorizer}
 import repro.matching.supervised.{LogisticTrainer, PairFeatures}
 import repro.util.Det
@@ -139,7 +140,7 @@ object DeepBlocker {
     val bw = sc.broadcast(w)
     val bIndex = sc.broadcast((iv.map(_._1), iv.map(_._2)))
     val queryCands = qv.flatMap { case (qid, v) => cands.get(qid).map(rows => (qid, v, rows.map(_._2))) }
-    val top = sc.parallelize(queryCands.toSeq, sc.defaultParallelism * 4)
+    val top = sc.parallelize(queryCands.toSeq, LocalSpark.querySlices(sc, queryCands.length))
       .flatMap { case (qid, v, nids) =>
         val (ids, vecs) = bIndex.value
         val scored = nids.map { nid =>

@@ -4,6 +4,7 @@ import org.apache.spark.SparkContext
 import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import repro.core.LocalSpark
 
 /** Exact nearest-neighbour blocking for Clean-Clean ER (paper §4.3):
   * every entity of the *smaller* collection queries the other collection
@@ -63,7 +64,7 @@ object ExactKnnBlocker extends Serializable {
     */
   private def slices(sc: SparkContext, queries: Array[(Long, Array[Float])], bIndex: Broadcast[KnnKernel.Index],
                      k: Int): RDD[(Array[Long], Array[KnnKernel.Hits])] =
-    sc.parallelize(queries.toSeq, math.min(queries.length, sc.defaultParallelism * 4))
+    sc.parallelize(queries.toSeq, LocalSpark.querySlices(sc, queries.length))
       .mapPartitions { it =>
         val batch = it.toArray
         Iterator(batch.map(_._1) -> KnnKernel.search(bIndex.value, batch.map(_._2), k))

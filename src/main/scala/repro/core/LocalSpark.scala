@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.SparkContext
 import org.apache.spark.sql.SparkSession
 
 /** The one local SparkSession of the jobs and the tests: master from
@@ -15,4 +16,9 @@ object LocalSpark {
       .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
+
+  /** Slices for a fan-out of `n` driver-held rows: about four per core,
+    * at most one per row, at least one.
+    */
+  def querySlices(sc: SparkContext, n: Int): Int = math.max(1, math.min(n, 4 * sc.defaultParallelism))
 }

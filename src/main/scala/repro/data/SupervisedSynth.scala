@@ -1,6 +1,5 @@
 package repro.data
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.util.Det
 
 /** Profile of one supervised-matching dataset (Table 3). */
@@ -24,8 +23,13 @@ final case class DsmProfile(
   def testN: Int  = totalPairs - trainN - validN
 }
 
-/** One labelled candidate pair, already split. */
-final case class PairRow(pairId: Long, sent1: String, sent2: String, label: Int, split: String)
+/** One labelled candidate pair. */
+final case class PairRow(pairId: Long, sent1: String, sent2: String, label: Int)
+
+/** A DSM's pairs, split 60/20/20; each split keeps the shuffle order. */
+final case class Pairs(profile: DsmProfile, train: Array[PairRow], valid: Array[PairRow], test: Array[PairRow]) {
+  def all: Array[PairRow] = train ++ valid ++ test
+}
 
 /** Supervised-matching datasets DSM1–DSM5 (Table 3 substitute).
   *
@@ -35,7 +39,7 @@ final case class PairRow(pairId: Long, sent1: String, sent2: String, label: Int,
   * train/valid/test split by a deterministic shuffle, following the
   * paper's validation-set fix of EMTransformer.
   */
-object SupervisedSynth extends Serializable {
+object SupervisedSynth {
 
   val DSM1 = DsmProfile("DSM1", "Abt", "Buy", 9575, 1028, 3,
     titleTokens = 5, otherTokens = 8.0, typoRate = 0.08, variantRate = 0.12,
@@ -108,19 +112,14 @@ object SupervisedSynth extends Serializable {
     }
   }
 
-  /** All pairs with their split, deterministically shuffled. */
-  def pairs(spark: SparkSession, p: DsmProfile): DataFrame = {
-    import spark.implicits._
-    val order = (0L until p.totalPairs.toLong)
+  /** All pairs, rendered on the driver, shuffled and cut by rank into the splits. */
+  def pairs(p: DsmProfile): Pairs = {
+    val rows = (0L until p.totalPairs.toLong)
       .sortBy(i => Det.uniform(Det.seedStr(p.name, 0xabcL, i)))
-    val rows = order.zipWithIndex.map { case (i, rank) =>
-      val (s1, s2, label) = renderPair(p, i)
-      val split =
-        if (rank < p.trainN) "train"
-        else if (rank < p.trainN + p.validN) "valid"
-        else "test"
-      PairRow(i, s1, s2, label, split)
-    }
-    spark.createDataFrame(rows)
+      .map { i => val (s1, s2, label) = renderPair(p, i); PairRow(i, s1, s2, label) }
+      .toArray
+    val (train, rest) = rows.splitAt(p.trainN)
+    val (valid, test) = rest.splitAt(p.validN)
+    Pairs(p, train, valid, test)
   }
 }

@@ -56,6 +56,11 @@ final case class ModelSpec(
   def sigDim: Int = if (family == Family.Bert) dim / 2 else dim
 
   def isStatic: Boolean = family == Family.Static
+
+  /** Transformer passes per token, 0 for static models: costFactor folds
+    * ALBERT weight sharing and RoBERTa kernels into the layer count.
+    */
+  val effLayers: Int = if (isStatic) 0 else math.max(1, math.round(layers * costFactor).toInt)
 }
 
 /** The 12 models of the paper's Table 1, in its row order. */

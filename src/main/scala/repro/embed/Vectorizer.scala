@@ -12,15 +12,6 @@ import repro.util.Det
   */
 final class ModelRuntime(val spec: ModelSpec) {
 
-  /** Effective transformer depth (costFactor folds architecture tweaks —
-    * ALBERT weight sharing, RoBERTa kernels — into the pass count).
-    */
-  val effLayers: Int =
-    if (spec.layers == 0) 0 else math.max(1, math.round(spec.layers * spec.costFactor).toInt)
-
-  /** Token dimensionality before signal projection (full dim). */
-  val tokDim: Int = spec.dim
-
   /** Vocabulary hash table: maps a token hash bucket to a seed. Static
     * models load large dictionaries (FastText's n-gram table dominates);
     * dynamic models load a subword vocab.
@@ -40,10 +31,10 @@ final class ModelRuntime(val spec: ModelSpec) {
 
   /** Per-layer elementwise rotation coefficients (cos/sin pairs). */
   val (layerA, layerB): (Array[Float], Array[Float]) =
-    if (effLayers == 0) (Array.empty[Float], Array.empty[Float])
+    if (spec.effLayers == 0) (Array.empty[Float], Array.empty[Float])
     else {
-      val a = new Array[Float](effLayers * tokDim)
-      val b = new Array[Float](effLayers * tokDim)
+      val a = new Array[Float](spec.effLayers * spec.dim)
+      val b = new Array[Float](spec.effLayers * spec.dim)
       var i = 0
       while (i < a.length) {
         val theta = Det.uniform(Det.seedStr(spec.code, 0xfadeL, i.toLong)) * 2.0 * math.Pi
@@ -116,12 +107,12 @@ object Vectorizer extends Serializable {
     if (cache != null) {
       var v = cache.get(token)
       if (v == null) {
-        v = Det.uniformVec(tokenSeed(rt, knownSurface(rt, token)), rt.tokDim)
+        v = Det.uniformVec(tokenSeed(rt, knownSurface(rt, token)), rt.spec.dim)
         if (cache.size < (1 << 18)) cache.put(token, v)
       }
       var i = 0; while (i < acc.length) { acc(i) += v(i); i += 1 }
     } else {
-      val v = Det.uniformVec(tokenSeed(rt, knownSurface(rt, token)), rt.tokDim)
+      val v = Det.uniformVec(tokenSeed(rt, knownSurface(rt, token)), rt.spec.dim)
       var i = 0; while (i < acc.length) { acc(i) += v(i); i += 1 }
     }
   }
@@ -131,7 +122,7 @@ object Vectorizer extends Serializable {
     val inv   = weight / grams.length
     var g = 0
     while (g < grams.length) {
-      val v = Det.uniformVec(tokenSeed(rt, grams(g)), rt.tokDim)
+      val v = Det.uniformVec(tokenSeed(rt, grams(g)), rt.spec.dim)
       var i = 0; while (i < acc.length) { acc(i) += v(i) * inv; i += 1 }
       g += 1
     }
@@ -143,7 +134,7 @@ object Vectorizer extends Serializable {
     */
   private def tokenVec(rt: ModelRuntime, token: String): Array[Float] = {
     val spec = rt.spec
-    val v = new Array[Float](rt.tokDim)
+    val v = new Array[Float](spec.dim)
     spec.tokenMode match {
       case TokenMode.Word  => addWordVec(rt, token, v)
       case TokenMode.Ngram => addNgramVec(rt, token, v, 1.0f)
@@ -152,7 +143,7 @@ object Vectorizer extends Serializable {
         var i = 0; while (i < v.length) { v(i) *= 0.7f; i += 1 }
         addNgramVec(rt, token, v, 0.3f)
     }
-    if (rt.effLayers > 0) applyLayers(rt, v)
+    if (spec.effLayers > 0) applyLayers(rt, v)
     v
   }
 
@@ -172,7 +163,7 @@ object Vectorizer extends Serializable {
     val half = d / 2
     val tmp = new Array[Float](d)
     var l = 0
-    while (l < rt.effLayers) {
+    while (l < rt.spec.effLayers) {
       val off = l * d
       var r = 0
       while (r < LayerRepeat) {
@@ -214,7 +205,7 @@ object Vectorizer extends Serializable {
     var tokens = Tokenizer.tokenize(sentence)
     if (spec.seqLen > 0 && tokens.length > spec.seqLen) tokens = tokens.take(spec.seqLen)
 
-    val acc = new Array[Float](rt.tokDim)
+    val acc = new Array[Float](spec.dim)
     var t = 0
     while (t < tokens.length) {
       val tv = tokenVec(rt, tokens(t))

@@ -1,7 +1,8 @@
 package repro.matching.supervised
 
 import org.apache.spark.sql.SparkSession
-import repro.data.{DsmProfile, SupervisedSynth}
+import repro.core.LocalSpark
+import repro.data.Pairs
 import repro.embed.{ModelSpec, Vectorizer}
 import repro.util.Det
 
@@ -27,37 +28,33 @@ object SupervisedMatcher {
   def encoderUnits(m: ModelSpec): Long =
     if (m.isStatic) 17_000L
     else {
-      val layers = math.max(1, math.round(m.layers * m.costFactor).toInt)
-      val base = layers.toLong * m.dim * 4
+      val base = m.effLayers.toLong * m.dim * 4
       if (m.code == "XT") (base * 1.5).toLong else base
     }
 
-  def run(spark: SparkSession, p: DsmProfile, model: ModelSpec,
+  /** Featurizes, trains and tests `model` on one DSM's rendered pairs. */
+  def run(spark: SparkSession, pairs: Pairs, model: ModelSpec,
           epochs: Int = 12, seed: Long = 7L): Result = {
-    import spark.implicits._
-
-    val pairsDf = SupervisedSynth.pairs(spark, p)
+    val sc = spark.sparkContext
     val code = model.code
-    val nameHash = Det.strHash(p.name)
+    val nameHash = Det.strHash(pairs.profile.name)
     // Fine-tuning adapts the dynamic encoders to the task, suppressing part
     // of their representation noise; static embeddings are frozen.
     val sigmaScale = if (model.isStatic) 1.0 else 0.4
 
     val t0 = System.nanoTime()
-    // featurize on executors: embed both sentences, build pair features
-    val feats = pairsDf
-      .select("pairId", "sent1", "sent2", "label", "split")
-      .as[(Long, String, String, Int, String)]
-      .map { case (pid, s1, s2, y, split) =>
-        val v1 = Vectorizer.embed(code, s1, Det.seed(nameHash, 1L, pid), sigmaScale)
-        val v2 = Vectorizer.embed(code, s2, Det.seed(nameHash, 2L, pid), sigmaScale)
-        (PairFeatures.features(v1, v2), y, split)
+    // featurize in tasks: embed both sentences, build pair features; the
+    // splits come back in order, one after the other
+    val rows = pairs.all
+    val feats = sc.parallelize(rows.toSeq, LocalSpark.querySlices(sc, rows.length))
+      .map { r =>
+        val v1 = Vectorizer.embed(code, r.sent1, Det.seed(nameHash, 1L, r.pairId), sigmaScale)
+        val v2 = Vectorizer.embed(code, r.sent2, Det.seed(nameHash, 2L, r.pairId), sigmaScale)
+        (PairFeatures.features(v1, v2), r.label)
       }
       .collect()
-
-    val train = feats.filter(_._3 == "train")
-    val valid = feats.filter(_._3 == "valid")
-    val test  = feats.filter(_._3 == "test")
+    val (train, rest) = feats.splitAt(pairs.train.length)
+    val (valid, test) = rest.splitAt(pairs.valid.length)
 
     val units = encoderUnits(model)
     val trained = LogisticTrainer.train(
@@ -69,7 +66,7 @@ object SupervisedMatcher {
 
     val t1 = System.nanoTime()
     val buf = Array.fill(4096)(0.5f)
-    val preds = test.map { case (x, _, _) =>
+    val preds = test.map { case (x, _) =>
       // prediction pays the encoder forward pass (≈ half of fwd+bwd)
       LogisticTrainer.simulatedEncoderWork(buf, units / 2)
       trained.predict(x)
@@ -77,6 +74,6 @@ object SupervisedMatcher {
     val f1 = LogisticTrainer.f1Of(preds.toSeq, test.map(_._2).toSeq)
     val tTest = (System.nanoTime() - t1) / 1e9
 
-    Result(code, p.name, f1, tTrain, tTest, trained.chosenEpoch)
+    Result(code, pairs.profile.name, f1, tTrain, tTest, trained.chosenEpoch)
   }
 }

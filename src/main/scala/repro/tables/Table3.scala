@@ -1,7 +1,5 @@
 package repro.tables
 
-import org.apache.spark.sql.SparkSession
-import org.apache.spark.sql.functions._
 import repro.data.{DsmProfile, SupervisedSynth}
 
 /** Table 3: the supervised-matching datasets — total pairs, testing
@@ -18,14 +16,10 @@ object Table3 {
     "DSM3" -> (12363, 2474, 2220, 4), "DSM4" -> (28707, 5743, 5347, 4),
     "DSM5" -> (10242, 2050, 962, 5))
 
-  def run(spark: SparkSession): Result = {
+  def run(): Result = {
     val counts = SupervisedSynth.all.map { p =>
-      val df = SupervisedSynth.pairs(spark, p).cache()
-      val total = df.count()
-      val testN = df.filter(col("split") === "test").count()
-      val dups  = df.filter(col("label") === 1).count()
-      df.unpersist()
-      (p, total, testN, dups)
+      val pairs = SupervisedSynth.pairs(p)
+      (p, pairs.all.length.toLong, pairs.test.length.toLong, pairs.all.count(_.label == 1).toLong)
     }
     val rows = Seq(Seq("ds", "src1", "src2", "total", "test(meas)", "test(paper)", "dups", "attrs")) ++
       counts.map { case (p, total, testN, dups) =>

@@ -1,11 +1,11 @@
 package repro.data
 
-import org.apache.spark.sql.functions._
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 
-class SupervisedSynthSpec extends SparkSpec {
+class SupervisedSynthSpec extends AnyFunSuite {
 
   private val small = SupervisedSynth.DSM2
+  private lazy val smallPairs = SupervisedSynth.pairs(small)
 
   test("profiles cover DSM1..DSM5 with Table 3 sizes") {
     assert(SupervisedSynth.all.map(_.name) == (1 to 5).map(i => s"DSM$i"))
@@ -27,27 +27,22 @@ class SupervisedSynthSpec extends SparkSpec {
     }
   }
 
-  test("pairs frame has totalPairs rows with exact split sizes") {
-    val df = SupervisedSynth.pairs(spark, small).cache()
-    assert(df.count() == small.totalPairs)
-    val bySplit = df.groupBy("split").count().collect().map(r => r.getString(0) -> r.getLong(1)).toMap
-    assert(bySplit("train") == small.trainN)
-    assert(bySplit("valid") == small.validN)
-    assert(bySplit("test") == small.testN)
-    df.unpersist()
+  test("pairs has totalPairs rows with exact split sizes") {
+    assert(smallPairs.all.length == small.totalPairs)
+    assert(smallPairs.all.map(_.pairId).distinct.length == small.totalPairs)
+    assert(smallPairs.train.length == small.trainN)
+    assert(smallPairs.valid.length == small.validN)
+    assert(smallPairs.test.length == small.testN)
   }
 
   test("exactly dups positive pairs") {
-    val df = SupervisedSynth.pairs(spark, small)
-    assert(df.filter(col("label") === 1).count() == small.dups)
+    assert(smallPairs.all.count(_.label == 1) == small.dups)
   }
 
   test("every split contains both classes") {
-    val df = SupervisedSynth.pairs(spark, small)
-    val counts = df.groupBy("split", "label").count().collect()
-      .map(r => (r.getString(0), r.getInt(1)) -> r.getLong(2)).toMap
-    for (s <- Seq("train", "valid", "test"); l <- Seq(0, 1))
-      assert(counts.getOrElse((s, l), 0L) > 0, s"split=$s label=$l")
+    val splits = Seq("train" -> smallPairs.train, "valid" -> smallPairs.valid, "test" -> smallPairs.test)
+    for ((s, rows) <- splits; l <- Seq(0, 1))
+      assert(rows.count(_.label == l) > 0, s"split=$s label=$l")
   }
 
   test("pair generation is deterministic") {
@@ -71,15 +66,12 @@ class SupervisedSynthSpec extends SparkSpec {
   }
 
   test("negative pair sentences are never identical to positives' rendering") {
-    val df = SupervisedSynth.pairs(spark, small)
-    val sameText = df.filter(col("label") === 0 && col("sent1") === col("sent2")).count()
+    val sameText = smallPairs.all.count(r => r.label == 0 && r.sent1 == r.sent2)
     assert(sameText <= small.totalPairs / 50, s"$sameText identical negatives")
   }
 
   test("split assignment is a deterministic shuffle (not prefix by pairId)") {
-    val df = SupervisedSynth.pairs(spark, small)
-    val trainIds = df.filter(col("split") === "train").select("pairId")
-      .collect().map(_.getLong(0)).toSet
+    val trainIds = smallPairs.train.map(_.pairId).toSet
     // if the shuffle works, train must contain both low and high pair ids
     assert(trainIds.exists(_ < small.totalPairs / 4))
     assert(trainIds.exists(_ > 3L * small.totalPairs / 4))

@@ -66,6 +66,12 @@ class ModelRegistrySpec extends AnyFunSuite {
     assert(ModelRegistry("GE").sigDim == 300)
   }
 
+  test("effLayers reflects costFactor") {
+    assert(ModelRegistry("S5").effLayers == 24)
+    assert(ModelRegistry("DT").effLayers == 6)
+    assert(ModelRegistry("GE").effLayers == 0)
+  }
+
   test("S-GTR-T5 has the highest corpus knowledge, as the paper argues") {
     assert(ModelRegistry.all.forall(m => m.code == "S5" || m.knowP < ModelRegistry("S5").knowP))
   }

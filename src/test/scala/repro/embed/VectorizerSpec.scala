@@ -106,18 +106,12 @@ class VectorizerSpec extends SparkSpec {
     val r2 = Vectorizer.runtime("SM")
     assert(r1.vocabTable.toSeq == r2.vocabTable.toSeq)
     assert(r1.weightDigest == r2.weightDigest)
-    assert(r1.effLayers == r2.effLayers)
+    assert(r1.layerA.toSeq == r2.layerA.toSeq && r1.layerB.toSeq == r2.layerB.toSeq)
   }
 
   test("vocab table sizes follow the init-cost ordering FT > WC > GE") {
     assert(Vectorizer.runtime("FT").vocabTable.length > Vectorizer.runtime("WC").vocabTable.length)
     assert(Vectorizer.runtime("WC").vocabTable.length > Vectorizer.runtime("GE").vocabTable.length)
-  }
-
-  test("effLayers reflects costFactor") {
-    assert(Vectorizer.runtime("S5").effLayers == 24)
-    assert(Vectorizer.runtime("DT").effLayers == 6)
-    assert(Vectorizer.runtime("GE").effLayers == 0)
   }
 
   test("vectorize DataFrame returns one vector per row") {

@@ -29,10 +29,12 @@ class GoldenSupervisedSpec extends SparkSpec {
 
 object GoldenSupervisedSpec {
   /** A header line, then one `model\tds\tF1\tchosenEpoch` line per model. */
-  def lines(spark: SparkSession): Vector[String] =
+  def lines(spark: SparkSession): Vector[String] = {
+    val dsm2 = SupervisedSynth.pairs(SupervisedSynth.DSM2)
     "# model\tds\tF1\tchosenEpoch   (SupervisedMatcher.run on DSM2, Double.toString)" +:
       ModelRegistry.supervisedModels.toVector.map { m =>
-        val r = SupervisedMatcher.run(spark, SupervisedSynth.DSM2, m)
+        val r = SupervisedMatcher.run(spark, dsm2, m)
         Seq(r.modelCode, r.dataset, r.f1, r.chosenEpoch).mkString("\t")
       }
+  }
 }

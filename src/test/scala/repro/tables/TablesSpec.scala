@@ -2,7 +2,7 @@ package repro.tables
 
 import repro.SparkSpec
 import repro.core.Pipeline
-import repro.data.DatasetProfiles
+import repro.data.{DatasetProfiles, SupervisedSynth}
 import repro.embed.ModelRegistry
 
 /** Every table producer at a tiny scale: one header plus one row per
@@ -15,6 +15,14 @@ class TablesSpec extends SparkSpec {
 
   test("Table 1 has a header and one row per model") {
     assert(Table1.run().table.rows.map(_.head) == "Model" +: ModelRegistry.all.map(_.name))
+  }
+
+  test("Table 3 has a header and one row per DSM with the paper's totals and duplicates") {
+    val r = Table3.run()
+    assert(r.table.rows.map(_.head) == "ds" +: SupervisedSynth.all.map(_.name))
+    r.counts.foreach { case (p, total, _, dups) =>
+      assert(total == Table3.paper(p.name)._1 && dups == Table3.paper(p.name)._3, p.name)
+    }
   }
 
   test("Effectiveness has a header and one row per (dataset, model)") {
