@@ -1,8 +1,9 @@
 package repro.baselines
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.blocking.ExactKnnBlocker
 import repro.core.LocalSpark
+import repro.data.EntityRow
 import repro.embed.{Tokenizer, Vectorizer}
 import repro.matching.supervised.{LogisticTrainer, PairFeatures}
 import repro.util.Det
@@ -22,7 +23,8 @@ object DeepBlocker {
   val EncDim = 128
   private val FtDim  = 300
 
-  final case class Blocked(candidates: DataFrame, secs: Double)
+  /** (query id, index id) candidates, and the seconds blocking took. */
+  final case class Blocked(candidates: Array[(Long, Long)], secs: Double)
 
   /** Train a tied-weight linear auto-encoder on sample vectors. Inputs are
     * unit-normalized defensively — SGD on a linear AE diverges on inputs
@@ -97,21 +99,17 @@ object DeepBlocker {
       .map(_._1).mkString(" ")
 
   /** Block: every query entity keeps its k top-scored index candidates.
-    * Both sides' FastText vectors are collected once and sorted by id, so
-    * the training samples, and with them the candidates, do not depend on
-    * the order of either input.
+    * Both sides are sorted by id first, so the training samples, and with
+    * them the candidates, do not depend on the order of either input.
     */
-  def block(queries: DataFrame, index: DataFrame, k: Int, tag: String, seed: Long = 17L): Blocked = {
-    val spark = queries.sparkSession
-    import spark.implicits._
+  def block(spark: SparkSession, queries: Array[EntityRow], index: Array[EntityRow], k: Int, tag: String,
+            seed: Long = 17L): Blocked = {
     val sc = spark.sparkContext
     val t0 = System.nanoTime()
+    val (qs, is) = (queries.sortBy(_.id), index.sortBy(_.id))
 
     // 1. FastText vectorization (DeepBlocker's default embedding)
-    def fastText(side: DataFrame, t: String) =
-      Vectorizer.vectorize(side, "FT", tag + t).as[(Long, Array[Float])].collect().sortBy(_._1)
-    val qv = fastText(queries, "#dbq")
-    val iv = fastText(index, "#dbi")
+    val Seq(qv, iv) = Vectorizer.vectorize(sc, "FT", Seq(qs -> (tag + "#dbq"), is -> (tag + "#dbi")))
 
     // 2. Auto-Encoder trained on an index sample (stochastic via seed)
     val w = trainAutoEncoder(iv.take(1500).map(_._2), seed)
@@ -120,13 +118,13 @@ object DeepBlocker {
     // 3. Self-supervision: auto-labelled positives (entity vs its token
     //    dropout) and negatives (random pairs within the sample, so each
     //    negative is another sample's anchor, embedded once)
-    val selfSample = index.select("id", "sentence").as[(Long, String)].collect().sortBy(_._1).take(600)
-    val anchors = selfSample.map { case (id, s) => encode(w, Vectorizer.embed("FT", s, Det.seed(seed, 3L, id))) }
-    val feats = selfSample.zip(anchors).flatMap { case ((id, s), v) =>
-      val vp = encode(w, Vectorizer.embed("FT", dropout(s, Det.seed(seed, 4L, id)), Det.seed(seed, 5L, id)))
-      val j  = Det.nextInt(Det.seed(seed, 6L, id), selfSample.length)
+    val selfSample = is.take(600)
+    val anchors = selfSample.map(e => encode(w, Vectorizer.embed("FT", e.sentence, Det.seed(seed, 3L, e.id))))
+    val feats = selfSample.zip(anchors).flatMap { case (e, v) =>
+      val vp = encode(w, Vectorizer.embed("FT", dropout(e.sentence, Det.seed(seed, 4L, e.id)), Det.seed(seed, 5L, e.id)))
+      val j  = Det.nextInt(Det.seed(seed, 6L, e.id), selfSample.length)
       Seq((PairFeatures.features(v, vp), 1),
-          (PairFeatures.features(v, anchors(j)), if (selfSample(j)._1 == id) 1 else 0))
+          (PairFeatures.features(v, anchors(j)), if (selfSample(j).id == e.id) 1 else 0))
     }
     val classifier = LogisticTrainer.train(
       feats.map(_._1), feats.map(_._2), feats.map(_._1), feats.map(_._2),
@@ -140,19 +138,30 @@ object DeepBlocker {
     val bw = sc.broadcast(w)
     val bIndex = sc.broadcast((iv.map(_._1), iv.map(_._2)))
     val queryCands = qv.flatMap { case (qid, v) => cands.get(qid).map(rows => (qid, v, rows.map(_._2))) }
-    val top = sc.parallelize(queryCands.toSeq, LocalSpark.querySlices(sc, queryCands.length))
-      .flatMap { case (qid, v, nids) =>
-        val (ids, vecs) = bIndex.value
-        val scored = nids.map { nid =>
-          val f = PairFeatures.features(encode(bw.value, v),
-            encode(bw.value, vecs(java.util.Arrays.binarySearch(ids, nid))))
-          (classifier.margin(f), nid)
-        }
-        scored.sortWith { case ((s1, n1), (s2, n2)) => s1 > s2 || (s1 == s2 && n1 < n2) }
-          .take(k).map { case (_, nid) => (qid, nid) }
+    val top = LocalSpark.fanOut(sc, queryCands) { case (qid, v, nids) =>
+      val (ids, vecs) = bIndex.value
+      val scored = nids.map { nid =>
+        val f = PairFeatures.features(encode(bw.value, v),
+          encode(bw.value, vecs(java.util.Arrays.binarySearch(ids, nid))))
+        (classifier.margin(f), nid)
       }
-      .collect()
+      scored.sortWith { case ((s1, n1), (s2, n2)) => s1 > s2 || (s1 == s2 && n1 < n2) }
+        .take(k).map { case (_, nid) => (qid, nid) }
+    }.flatten
     bw.destroy(); bIndex.destroy()
-    Blocked(top.toSeq.toDF("id1", "id2"), (System.nanoTime() - t0) / 1e9)
+    Blocked(top, (System.nanoTime() - t0) / 1e9)
+  }
+
+  /** [[Blocked]] with the candidates as an (id1, id2) frame. */
+  final case class BlockedFrame(candidates: DataFrame, secs: Double)
+
+  /** [[block]] on two (id, attrs, sentence) frames, collected once. Kept
+    * for erperf; ROADMAP item 1 deletes it, with [[BlockedFrame]].
+    */
+  def block(queries: DataFrame, index: DataFrame, k: Int, tag: String, seed: Long): BlockedFrame = {
+    import queries.sparkSession.implicits._
+    def rows(side: DataFrame) = side.select("id", "attrs", "sentence").as[EntityRow].collect()
+    val b = block(queries.sparkSession, rows(queries), rows(index), k, tag, seed)
+    BlockedFrame(b.candidates.toSeq.toDF("id1", "id2"), b.secs)
   }
 }

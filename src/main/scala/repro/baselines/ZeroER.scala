@@ -140,19 +140,18 @@ object ZeroER {
   /** The "did not terminate" budget of Table 5(b), in seconds. */
   val DefaultBudgetSecs = 30.0
 
-  /** Run end-to-end; None if the time budget is exhausted. */
-  def run(s1: DataFrame, s2: DataFrame, groundTruth: DataFrame,
+  /** Run end-to-end on the two sources and the ground-truth (id1, id2)
+    * pairs; None if the time budget is exhausted.
+    */
+  def run(e1: Array[EntityRow], e2: Array[EntityRow], gt: Set[(Long, Long)],
           budgetSecs: Double = DefaultBudgetSecs, cap: Int = 500): Option[Result] = {
-    val spark = s1.sparkSession
-    import spark.implicits._
     val t0 = System.nanoTime()
     def elapsed: Double = (System.nanoTime() - t0) / 1e9
     def check(): Unit = if (elapsed > budgetSecs) throw new Timeout
 
     try {
       // ---- preprocessing phase: blocking + feature computation ----
-      def rows(s: DataFrame) = new Side(s.select("id", "attrs", "sentence").as[EntityRow].collect())
-      val side1 = rows(s1); val side2 = rows(s2)
+      val side1 = new Side(e1); val side2 = new Side(e2)
       val (c1, c2) = candidates(side1, side2, cap, () => check())
       check()
 
@@ -186,10 +185,18 @@ object ZeroER {
       val predicted = post.indices.collect { case c if post(c) > 0.5 => (side1.ids(c1(c)), side2.ids(c2(c))) }.toSet
       val matchSecs = (System.nanoTime() - tm0) / 1e9
 
-      val gt = groundTruth.select("id1", "id2").as[(Long, Long)].collect().toSet
       val (p, r, f1) = MatchMetrics.prf(predicted, gt)
       Some(Result(p, r, f1, prepSecs, matchSecs))
     } catch { case _: Timeout => None }
+  }
+
+  /** [[run]] on two (id, attrs, sentence) frames and an (id1, id2) frame.
+    * Kept for erperf; ROADMAP item 1 deletes it.
+    */
+  def run(s1: DataFrame, s2: DataFrame, groundTruth: DataFrame, budgetSecs: Double): Option[Result] = {
+    import s1.sparkSession.implicits._
+    def rows(s: DataFrame) = s.select("id", "attrs", "sentence").as[EntityRow].collect()
+    run(rows(s1), rows(s2), groundTruth.select("id1", "id2").as[(Long, Long)].collect().toSet, budgetSecs)
   }
 
   /** Posterior of the match component per feature vector. The rows are

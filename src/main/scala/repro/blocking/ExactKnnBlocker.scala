@@ -34,7 +34,8 @@ object ExactKnnBlocker extends Serializable {
 
   /** [[search]] on two (id, vec) frames, as a (qid, nid, dist, rank) frame
     * whose rows are built in the tasks. The frame is lazy, so its index
-    * broadcast is left to Spark's cleaner.
+    * broadcast is left to Spark's cleaner. Kept for erperf; ROADMAP item 1
+    * deletes it.
     */
   def topK(queries: DataFrame, index: DataFrame, k: Int): DataFrame = {
     val spark = queries.sparkSession

@@ -1,8 +1,8 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.SparkSession
 import repro.blocking.ExactKnnBlocker
-import repro.data.{CleanProfile, ERSynth}
+import repro.data.{CleanProfile, ERSynth, EntityRow}
 import repro.embed.Vectorizer
 import repro.matching.{MatchMetrics, UniqueMappingClustering}
 
@@ -12,7 +12,7 @@ import repro.matching.{MatchMetrics, UniqueMappingClustering}
   * with sim = 1/(1+dist), and match with Unique Mapping Clustering.
   *
   * Every unsupervised number — Figures 3/4/8 and Tables 4, 5(a) and 5(b)
-  * — is read from this one path: load a dataset once ([[withSources]]),
+  * — is read from this one path: render a dataset once ([[sources]]),
   * [[vectorize]] it (Table 4), [[run]] the k-NN from the smaller side, and
   * derive recall at k, the UMC δ-sweep and UMC at a fixed δ from the
   * neighbours.
@@ -28,10 +28,12 @@ object Pipeline {
   def recall(candidates: Set[(Long, Long)], gt: Set[(Long, Long)]): Double =
     if (gt.isEmpty) 1.0 else gt.count(candidates.contains).toDouble / gt.size
 
-  /** A dataset's two sources, cached, and its ground truth: generated
-    * once and shared by every model and baseline run on it.
+  /** A dataset's two sources as driver arrays in id order, and its ground
+    * truth: rendered once and shared by every model and baseline run on it,
+    * whose fan-outs run on `spark`.
     */
-  final case class Sources(profile: CleanProfile, s1: DataFrame, s2: DataFrame, gt: Set[(Long, Long)]) {
+  final case class Sources(spark: SparkSession, profile: CleanProfile,
+                           e1: Array[EntityRow], e2: Array[EntityRow], gt: Set[(Long, Long)]) {
     def side1Smaller: Boolean = profile.v1 <= profile.v2
 
     /** The query (smaller) side and the index side, in that order. */
@@ -41,35 +43,25 @@ object Pipeline {
     def canonical(q: Long, i: Long): (Long, Long) = if (side1Smaller) (q, i) else (i, q)
   }
 
-  /** Generate and cache `p`'s sources and ground truth, apply `f`, and
-    * release the sources.
+  /** Render `p`'s sources; its ground truth pairs id i of side 1 with id
+    * i of side 2 for every i below `dups`.
     */
-  def withSources[A](spark: SparkSession, p: CleanProfile)(f: Sources => A): A = {
-    import spark.implicits._
-    val s1 = ERSynth.source(spark, p, 1).cache(); s1.count()
-    val s2 = ERSynth.source(spark, p, 2).cache(); s2.count()
-    try f(Sources(p, s1, s2, ERSynth.groundTruth(spark, p).as[(Long, Long)].collect().toSet))
-    finally { s1.unpersist(); s2.unpersist() }
-  }
+  def sources(spark: SparkSession, p: CleanProfile): Sources =
+    Sources(spark, p, ERSynth.entities(p, 1), ERSynth.entities(p, 2), (0L until p.dups).map(i => (i, i)).toSet)
 
-  /** Both sides' (id, vec) rows, collected to the driver, and the
-    * seconds the transform took (model Init excluded: Table 4 reports it
-    * apart).
+  /** Both sides' (id, vec) rows and the seconds the transform took (model
+    * Init excluded: Table 4 reports it apart).
     */
   final case class Vectors(v1: Array[(Long, Array[Float])], v2: Array[(Long, Array[Float])], secs: Double)
 
-  /** Vectorize both sides with noise tags "<name>#1" / "<name>#2" and
-    * collect the vectors: exact k-NN runs on driver arrays.
+  /** Vectorize both sides in one fan-out, with noise tags "<name>#1" /
+    * "<name>#2": exact k-NN runs on the driver arrays.
     */
   def vectorize(src: Sources, model: String): Vectors = {
-    val spark = src.s1.sparkSession
-    import spark.implicits._
     Vectorizer.runtime(model)
     val t0 = System.nanoTime()
-    def collect(side: DataFrame, n: Int) =
-      Vectorizer.vectorize(side, model, s"${src.profile.name}#$n").as[(Long, Array[Float])].collect()
-    val v1 = collect(src.s1, 1)
-    val v2 = collect(src.s2, 2)
+    val Seq(v1, v2) = Vectorizer.vectorize(src.spark.sparkContext, model,
+      Seq(src.e1 -> s"${src.profile.name}#1", src.e2 -> s"${src.profile.name}#2"))
     Vectors(v1, v2, (System.nanoTime() - t0) / 1e9)
   }
 
@@ -124,7 +116,7 @@ object Pipeline {
     val v = vectorize(src, model)
     val (queries, index) = src.querySides(v.v1, v.v2)
     val t0 = System.nanoTime()
-    val nb = ExactKnnBlocker.search(src.s1.sparkSession, queries, index, k)
+    val nb = ExactKnnBlocker.search(src.spark, queries, index, k)
     Run(src, v.secs, (System.nanoTime() - t0) / 1e9, nb)
   }
 }

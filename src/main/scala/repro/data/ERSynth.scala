@@ -133,7 +133,15 @@ object ERSynth extends Serializable {
     EntityRow(idx, placed.toSeq, placed.filter(_.nonEmpty).mkString(" "))
   }
 
-  /** DataFrame (id, attrs, sentence) of one source. */
+  /** One source, rendered on the driver in id order. */
+  def entities(p: CleanProfile, side: Int): Array[EntityRow] = {
+    require(side == 1 || side == 2, s"side must be 1 or 2, got $side")
+    Array.tabulate(if (side == 1) p.v1 else p.v2)(i => renderEntity(p, side, i))
+  }
+
+  /** DataFrame (id, attrs, sentence) of one source. Kept for erperf;
+    * ROADMAP item 1 deletes it.
+    */
   def source(spark: SparkSession, p: CleanProfile, side: Int): DataFrame = {
     import spark.implicits._
     require(side == 1 || side == 2, s"side must be 1 or 2, got $side")
@@ -141,20 +149,17 @@ object ERSynth extends Serializable {
     spark.range(n).as[Long].map(i => renderEntity(p, side, i)).toDF()
   }
 
-  /** Ground-truth matches (id1, id2): cluster i occupies id i in each side. */
+  /** Ground-truth matches (id1, id2): cluster i occupies id i in each side.
+    * Kept for erperf; ROADMAP item 1 deletes it.
+    */
   def groundTruth(spark: SparkSession, p: CleanProfile): DataFrame = {
     import spark.implicits._
     spark.range(p.dups).as[Long].map(i => (i, i)).toDF("id1", "id2")
   }
 
   /** Table 2(a) row: (|V1|, |V2|, |A1|, |A2|, |D|, avg sentence chars). */
-  def stats(spark: SparkSession, p: CleanProfile): (Long, Long, Int, Int, Long, Double) = {
-    import org.apache.spark.sql.functions._
-    val s1 = source(spark, p, 1)
-    val s2 = source(spark, p, 2)
-    val totalLen = s1.agg(sum(length(col("sentence")))).head.getLong(0) +
-                   s2.agg(sum(length(col("sentence")))).head.getLong(0)
-    val avg = totalLen.toDouble / (p.v1 + p.v2)
-    (p.v1.toLong, p.v2.toLong, p.a1, p.a2, p.dups.toLong, avg)
+  def stats(p: CleanProfile): (Long, Long, Int, Int, Long, Double) = {
+    val totalLen = Seq(1, 2).map(entities(p, _).map(_.sentence.length.toLong).sum).sum
+    (p.v1.toLong, p.v2.toLong, p.a1, p.a2, p.dups.toLong, totalLen.toDouble / (p.v1 + p.v2))
   }
 }

@@ -1,8 +1,10 @@
 package repro.embed
 
 import java.util.concurrent.ConcurrentHashMap
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
-import repro.data.Lexicon
+import org.apache.spark.SparkContext
+import org.apache.spark.sql.DataFrame
+import repro.core.LocalSpark
+import repro.data.{EntityRow, Lexicon}
 import repro.util.Det
 
 /** Runtime state of a simulated model: the lookup tables / layer weights
@@ -239,18 +241,31 @@ object Vectorizer extends Serializable {
     }
   }
 
-  /** Vectorize a (id, sentence) DataFrame → (id, vec) DataFrame.
-    *
-    * `noiseTag` must uniquely identify (dataset, source) so per-entity
-    * noise is independent across sources. Only the model code and the tag
-    * are captured by the closure; the runtime is resolved JVM-locally.
+  /** Noise seed of entity `id` in the source whose noise tag hashes to `tagHash`. */
+  def noiseSeed(tagHash: Long, id: Long): Long = Det.seed(tagHash, id)
+
+  /** Vectorize (entities, noise tag) sides in one fan-out: each side's
+    * (id, vec) rows, in its order. A tag names one (dataset, source), so
+    * per-entity noise is independent across sources.
+    */
+  def vectorize(sc: SparkContext, modelCode: String,
+                sides: Seq[(Array[EntityRow], String)]): Seq[Array[(Long, Array[Float])]] = {
+    val rows = sides.flatMap { case (es, tag) => val h = Det.strHash(tag); es.map(e => (e.id, e.sentence, noiseSeed(h, e.id))) }
+    val vecs = LocalSpark.fanOut(sc, rows.toArray) { case (id, s, seed) => (id, embed(modelCode, s, seed)) }
+    val ends = sides.scanLeft(0)(_ + _._1.length)
+    ends.zip(ends.tail).map { case (a, b) => vecs.slice(a, b) }
+  }
+
+  /** Vectorize a (id, sentence) DataFrame → (id, vec) DataFrame, with the
+    * noise seeds of the array form. Kept for erperf; ROADMAP item 1
+    * deletes it.
     */
   def vectorize(df: DataFrame, modelCode: String, noiseTag: String): DataFrame = {
     val spark = df.sparkSession
     import spark.implicits._
     val tagHash = Det.strHash(noiseTag)
     df.select("id", "sentence").as[(Long, String)]
-      .map { case (id, s) => (id, Vectorizer.embed(modelCode, s, Det.seed(tagHash, id))) }
+      .map { case (id, s) => (id, Vectorizer.embed(modelCode, s, Vectorizer.noiseSeed(tagHash, id))) }
       .toDF("id", "vec")
   }
 }

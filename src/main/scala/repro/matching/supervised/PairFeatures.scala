@@ -9,8 +9,6 @@ package repro.matching.supervised
   */
 object PairFeatures {
 
-  def dim(vecDim: Int): Int = 2 * vecDim
-
   def features(v1: Array[Float], v2: Array[Float]): Array[Float] = {
     require(v1.length == v2.length, s"dim mismatch ${v1.length} vs ${v2.length}")
     val d = v1.length

@@ -35,7 +35,6 @@ object SupervisedMatcher {
   /** Featurizes, trains and tests `model` on one DSM's rendered pairs. */
   def run(spark: SparkSession, pairs: Pairs, model: ModelSpec,
           epochs: Int = 12, seed: Long = 7L): Result = {
-    val sc = spark.sparkContext
     val code = model.code
     val nameHash = Det.strHash(pairs.profile.name)
     // Fine-tuning adapts the dynamic encoders to the task, suppressing part
@@ -45,14 +44,11 @@ object SupervisedMatcher {
     val t0 = System.nanoTime()
     // featurize in tasks: embed both sentences, build pair features; the
     // splits come back in order, one after the other
-    val rows = pairs.all
-    val feats = sc.parallelize(rows.toSeq, LocalSpark.querySlices(sc, rows.length))
-      .map { r =>
-        val v1 = Vectorizer.embed(code, r.sent1, Det.seed(nameHash, 1L, r.pairId), sigmaScale)
-        val v2 = Vectorizer.embed(code, r.sent2, Det.seed(nameHash, 2L, r.pairId), sigmaScale)
-        (PairFeatures.features(v1, v2), r.label)
-      }
-      .collect()
+    val feats = LocalSpark.fanOut(spark.sparkContext, pairs.all) { r =>
+      val v1 = Vectorizer.embed(code, r.sent1, Det.seed(nameHash, 1L, r.pairId), sigmaScale)
+      val v2 = Vectorizer.embed(code, r.sent2, Det.seed(nameHash, 2L, r.pairId), sigmaScale)
+      (PairFeatures.features(v1, v2), r.label)
+    }
     val (train, rest) = feats.splitAt(pairs.train.length)
     val (valid, test) = rest.splitAt(pairs.valid.length)
 

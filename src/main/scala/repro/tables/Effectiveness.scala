@@ -23,11 +23,10 @@ object Effectiveness {
   def run(spark: SparkSession, scale: Double): Result = {
     val models = ModelRegistry.all.map(_.code)
     val cells = DatasetProfiles.all.flatMap { p0 =>
-      Pipeline.withSources(spark, p0.scaled(scale)) { src =>
-        models.map { c =>
-          val r = Pipeline.run(src, c, 64)
-          Cell(p0.name, c, r.recallAt(1), r.recallAt(5), r.recallAt(10), r.umcBest())
-        }
+      val src = Pipeline.sources(spark, p0.scaled(scale))
+      models.map { c =>
+        val r = Pipeline.run(src, c, 64)
+        Cell(p0.name, c, r.recallAt(1), r.recallAt(5), r.recallAt(10), r.umcBest())
       }
     }
     val rows = Seq(Seq("ds", "model", "rec@1", "rec@5", "rec@10", "delta", "P", "R", "F1")) ++

@@ -30,7 +30,7 @@ object Table2 {
     "Ds5" -> 257034L, "Ds6" -> 857538L, "Ds7" -> 1716102L)
 
   def run(spark: SparkSession): Result = {
-    val clean = DatasetProfiles.all.map(p => p -> ERSynth.stats(spark, p))
+    val clean = DatasetProfiles.all.map(p => p -> ERSynth.stats(p))
     val dirty = FebrlSynth.TableSizes.map { case (name, n) =>
       // sample sentence length on large sizes to keep the table fast
       val avgLen = FebrlSynth.entities(spark, math.min(n, 50_000L))

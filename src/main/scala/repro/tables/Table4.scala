@@ -36,8 +36,10 @@ object Table4 {
     val initMs = models.indices.map(j => rounds.map(_(j)._2).sorted.apply(InitRuns / 2))
     def avg(f: Family) = { val ms = specs.indices.filter(specs(_).family == f).map(initMs); ms.sum / ms.size }
     val margin = avg(Family.Sbert) - avg(Family.Bert)
-    val secs = DatasetProfiles.all.map(p0 =>
-      p0.name -> Pipeline.withSources(spark, p0.scaled(scale))(src => models.map(Pipeline.vectorize(src, _).secs)))
+    val secs = DatasetProfiles.all.map { p0 =>
+      val src = Pipeline.sources(spark, p0.scaled(scale))
+      p0.name -> models.map(Pipeline.vectorize(src, _).secs)
+    }
     val total = models.indices.map(j => secs.map(_._2(j)).sum)
 
     Result(Printed(s"Table 4 (Init row) — model initialization (ms), median of $InitRuns builds; " +

@@ -22,14 +22,12 @@ object Table5a {
   def run(spark: SparkSession, scale: Double): Result = {
     val ks = Seq(1, 5, 10)
     val perDataset = DatasetProfiles.all.map { p0 =>
-      Pipeline.withSources(spark, p0.scaled(scale)) { src =>
-        val (q, i) = src.querySides(src.s1, src.s2)
-        val db = ks.map(k => DeepBlocker.block(q, i, k, tag = s"t5a-${p0.name}-$k"))
-        val dbRec10 = Pipeline.recall(
-          db.last.candidates.collect().map(r => src.canonical(r.getLong(0), r.getLong(1))).toSet, src.gt)
-        val s5 = ks.map(k => Pipeline.run(src, "S5", k))
-        (p0.name, db.map(_.secs), s5.map(r => r.vecSecs + r.blockSecs), dbRec10, s5.last.recallAt(10))
-      }
+      val src = Pipeline.sources(spark, p0.scaled(scale))
+      val (q, i) = src.querySides(src.e1, src.e2)
+      val db = ks.map(k => DeepBlocker.block(spark, q, i, k, tag = s"t5a-${p0.name}-$k"))
+      val dbRec10 = Pipeline.recall(db.last.candidates.map((src.canonical _).tupled).toSet, src.gt)
+      val s5 = ks.map(k => Pipeline.run(src, "S5", k))
+      (p0.name, db.map(_.secs), s5.map(r => r.vecSecs + r.blockSecs), dbRec10, s5.last.recallAt(10))
     }
     val rows = Seq(Seq("ds") ++ ks.map(k => s"DB t(k=$k)") ++ ks.map(k => s"S5 t(k=$k)")
         ++ Seq("DB rec@10", "S5 rec@10")) ++

@@ -3,7 +3,7 @@ package repro.tables
 import org.apache.spark.sql.SparkSession
 import repro.baselines.ZeroER
 import repro.core.{Pipeline, Tab}
-import repro.data.{DatasetProfiles, ERSynth}
+import repro.data.DatasetProfiles
 
 /** Table 5(b): unsupervised matching — ZeroER (t_p, t_m) vs the one path
   * with S-GTR-T5 (k=10 blocking + UMC at δ=0.5), with the F1 comparison
@@ -27,11 +27,10 @@ object Table5b {
   def run(spark: SparkSession, scale: Double): Result = {
     val budget = sys.env.get("ZEROER_BUDGET_SEC").fold(ZeroER.DefaultBudgetSecs)(_.toDouble)
     val perDataset = DatasetProfiles.all.map { p0 =>
-      Pipeline.withSources(spark, p0.scaled(scale)) { src =>
-        val ze = ZeroER.run(src.s1, src.s2, ERSynth.groundTruth(spark, src.profile), budgetSecs = budget)
-        val s5 = Pipeline.run(src, "S5", 10)
-        (p0.name, ze, s5.vecSecs + s5.blockSecs, s5.umcAt(0.5))
-      }
+      val src = Pipeline.sources(spark, p0.scaled(scale))
+      val ze = ZeroER.run(src.e1, src.e2, src.gt, budgetSecs = budget)
+      val s5 = Pipeline.run(src, "S5", 10)
+      (p0.name, ze, s5.vecSecs + s5.blockSecs, s5.umcAt(0.5))
     }
     val rows = Seq(Seq("ds", "ZE t_p", "ZE t_m", "ZE F1", "S5 t_p", "S5 t_m(ms)", "S5 F1")) ++
       perDataset.map { case (ds, ze, s5Prep, s5) =>

@@ -1,10 +1,8 @@
 package repro.baselines
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions.desc
 import repro.SparkSpec
 import repro.core.Pipeline
-import repro.data.{DatasetProfiles, ERSynth}
+import repro.data.{DatasetProfiles, ERSynth, EntityRow}
 import repro.util.Det
 
 class DeepBlockerSpec extends SparkSpec {
@@ -51,41 +49,42 @@ class DeepBlockerSpec extends SparkSpec {
   }
 
   test("block produces k candidates per query with decent recall on easy data") {
-    val p = DatasetProfiles("D4").scaled(0.05)
-    val s1 = ERSynth.source(spark, p, 1)
-    val s2 = ERSynth.source(spark, p, 2)
-    import spark.implicits._
-    val gt = ERSynth.groundTruth(spark, p).as[(Long, Long)].collect().toSet
-    val res = DeepBlocker.block(s2, s1, k = 5, tag = "dbtest") // smaller side queries
-    val perQuery = res.candidates.groupBy("id1").count().collect().map(_.getLong(1))
+    val src = Pipeline.sources(spark, DatasetProfiles("D4").scaled(0.05))
+    val res = DeepBlocker.block(spark, src.e2, src.e1, k = 5, tag = "dbtest") // smaller side queries
+    val perQuery = res.candidates.groupBy(_._1).values.map(_.length)
     assert(perQuery.forall(_ <= 5))
     // gt is (side1, side2); candidates are (query=side2, side1) here
-    val canon = res.candidates.as[(Long, Long)].collect().map(_.swap).toSet
-    val rec = Pipeline.recall(canon, gt)
+    val canon = res.candidates.map(_.swap).toSet
+    val rec = Pipeline.recall(canon, src.gt)
     assert(rec > 0.8, s"DeepBlocker recall on easy D4: $rec")
     assert(res.secs > 0)
   }
 
+  private lazy val d1 = Pipeline.sources(spark, DatasetProfiles("D1").scaled(0.2))
+
   test("block is stochastic across seeds but stable per seed") {
-    val p = DatasetProfiles("D1").scaled(0.2)
-    val s1 = ERSynth.source(spark, p, 1)
-    val s2 = ERSynth.source(spark, p, 2)
-    def run(seed: Long) =
-      DeepBlocker.block(s1, s2, k = 2, tag = "dbseed", seed = seed)
-        .candidates.collect().map(r => (r.getLong(0), r.getLong(1))).toSet
+    def run(seed: Long) = DeepBlocker.block(spark, d1.e1, d1.e2, k = 2, tag = "dbseed", seed = seed).candidates.toSet
     val a = run(17L); val b = run(17L); val c = run(99L)
     assert(a == b, "same seed must reproduce")
     assert(a != c, "different seeds should differ somewhere")
   }
 
-  test("block does not depend on the order or partitioning of either input") {
-    val p = DatasetProfiles("D1").scaled(0.2)
-    val s1 = ERSynth.source(spark, p, 1)
-    val s2 = ERSynth.source(spark, p, 2)
-    def run(q: DataFrame, i: DataFrame) =
-      DeepBlocker.block(q, i, k = 2, tag = "dborder").candidates.collect().map(r => (r.getLong(0), r.getLong(1))).toSet
-    val want = run(s1, s2)
-    assert(run(s1.repartition(3), s2.repartition(5)) == want)
-    assert(run(s1.orderBy(desc("id")), s2.orderBy(desc("id"))) == want)
+  test("block does not depend on the order of either input") {
+    def run(q: Array[EntityRow], i: Array[EntityRow]) =
+      DeepBlocker.block(spark, q, i, k = 2, tag = "dborder").candidates.toSet
+    val want = run(d1.e1, d1.e2)
+    val shuffle = new scala.util.Random(3)
+    assert(run(d1.e1.reverse, d1.e2.reverse) == want)
+    assert(run(shuffle.shuffle(d1.e1.toSeq).toArray, shuffle.shuffle(d1.e2.toSeq).toArray) == want)
+  }
+
+  test("the DataFrame form returns exactly what the array form returns (D4 x0.05)") {
+    import spark.implicits._
+    val p = DatasetProfiles("D4").scaled(0.05)
+    val src = Pipeline.sources(spark, p)
+    val arrays = DeepBlocker.block(spark, src.e2, src.e1, 5, "dbadapter", 17L).candidates
+    val frame = DeepBlocker.block(ERSynth.source(spark, p, 2), ERSynth.source(spark, p, 1), 5, "dbadapter", 17L)
+    assert(frame.candidates.columns.toSeq == Seq("id1", "id2"))
+    assert(frame.candidates.as[(Long, Long)].collect().sameElements(arrays))
   }
 }

@@ -33,12 +33,10 @@ object GoldenDeepBlockerSpec {
 
   /** Each case's comment line, then its pairs as `id1\tid2`, sorted. */
   def lines(spark: SparkSession): Vector[String] = Cases.toVector.flatMap { case (ds, scale, k) =>
-    Pipeline.withSources(spark, DatasetProfiles(ds).scaled(scale)) { src =>
-      val (q, i) = src.querySides(src.s1, src.s2)
-      val pairs = DeepBlocker.block(q, i, k, tag = s"golden-$ds").candidates
-        .collect().map(r => (r.getLong(0), r.getLong(1))).sorted
-      s"# $ds x$scale k=$k: (query id, index id), the query side is the smaller source" +:
-        pairs.map { case (a, b) => s"$a\t$b" }
-    }
+    val src = Pipeline.sources(spark, DatasetProfiles(ds).scaled(scale))
+    val (q, i) = src.querySides(src.e1, src.e2)
+    val pairs = DeepBlocker.block(spark, q, i, k, tag = s"golden-$ds").candidates.sorted
+    s"# $ds x$scale k=$k: (query id, index id), the query side is the smaller source" +:
+      pairs.map { case (a, b) => s"$a\t$b" }
   }
 }

@@ -4,7 +4,7 @@ import scala.io.Source
 import org.apache.spark.sql.SparkSession
 import repro.SparkSpec
 import repro.core.Pipeline
-import repro.data.{DatasetProfiles, ERSynth}
+import repro.data.DatasetProfiles
 
 /** Golden ZeroER quality: precision, recall and F1 of `ZeroER.run` on a
   * few tiny datasets, compared exactly (as `Double.toString`) against a
@@ -12,8 +12,8 @@ import repro.data.{DatasetProfiles, ERSynth}
   *
   * The overlap blocking, the features and the EM are pure functions of
   * their inputs, and the budget is set high enough never to fire, so the
-  * numbers depend neither on the core count nor on partitioning; any
-  * difference is silent drift.
+  * numbers do not depend on the core count; any difference is silent
+  * drift.
   */
 class GoldenZeroERSpec extends SparkSpec {
 
@@ -34,9 +34,8 @@ object GoldenZeroERSpec {
   /** A header line, then one `ds\tscale\tP\tR\tF1` line per case. */
   def lines(spark: SparkSession): Vector[String] =
     "# ds\tscale\tP\tR\tF1   (ZeroER.run, budget 3600 s, Double.toString)" +: Cases.toVector.map { case (ds, scale) =>
-      Pipeline.withSources(spark, DatasetProfiles(ds).scaled(scale)) { src =>
-        val r = ZeroER.run(src.s1, src.s2, ERSynth.groundTruth(spark, src.profile), budgetSecs = 3600).get
-        Seq(ds, scale, r.precision, r.recall, r.f1).mkString("\t")
-      }
+      val src = Pipeline.sources(spark, DatasetProfiles(ds).scaled(scale))
+      val r = ZeroER.run(src.e1, src.e2, src.gt, budgetSecs = 3600).get
+      Seq(ds, scale, r.precision, r.recall, r.f1).mkString("\t")
     }
 }

@@ -1,15 +1,15 @@
 package repro.baselines
 
-import org.apache.spark.sql.DataFrame
 import org.scalacheck.{Gen, Prop}
 import repro.{PropSupport, SparkSpec}
-import repro.data.{DatasetProfiles, ERSynth, EntityRow}
+import repro.core.Pipeline
+import repro.data.{CleanProfile, DatasetProfiles, ERSynth, EntityRow}
 
 class ZeroERSpec extends SparkSpec with PropSupport {
 
-  private def rows(df: DataFrame): Array[EntityRow] = {
-    val s = spark; import s.implicits._
-    df.as[EntityRow].collect()
+  private def run(p: CleanProfile, budgetSecs: Double): Option[ZeroER.Result] = {
+    val src = Pipeline.sources(spark, p)
+    ZeroER.run(src.e1, src.e2, src.gt, budgetSecs = budgetSecs)
   }
 
   test("levSim basics") {
@@ -50,20 +50,14 @@ class ZeroERSpec extends SparkSpec with PropSupport {
   }
 
   test("overlap blocking finds duplicate pairs as candidates") {
-    val p = DatasetProfiles("D4").scaled(0.03)
-    val s1 = ERSynth.source(spark, p, 1)
-    val s2 = ERSynth.source(spark, p, 2)
-    val cands = ZeroER.overlapBlocking(rows(s1), rows(s2)).toSet
-    val gt = ERSynth.groundTruth(spark, p).collect().map(r => (r.getLong(0), r.getLong(1))).toSet
-    val rec = gt.count(cands.contains).toDouble / gt.size
+    val src = Pipeline.sources(spark, DatasetProfiles("D4").scaled(0.03))
+    val cands = ZeroER.overlapBlocking(src.e1, src.e2).toSet
+    val rec = src.gt.count(cands.contains).toDouble / src.gt.size
     assert(rec > 0.7, s"overlap blocking recall $rec")
   }
 
   test("end-to-end ZeroER works on clean bibliographic data (D4-like)") {
-    val p = DatasetProfiles("D4").scaled(0.03)
-    val res = ZeroER.run(
-      ERSynth.source(spark, p, 1), ERSynth.source(spark, p, 2),
-      ERSynth.groundTruth(spark, p), budgetSecs = 120)
+    val res = run(DatasetProfiles("D4").scaled(0.03), budgetSecs = 120)
     assert(res.isDefined, "must terminate on a small clean dataset")
     assert(res.get.f1 > 0.5, s"F1 ${res.get.f1}")
     assert(res.get.prepSecs > 0 && res.get.matchSecs > 0)
@@ -73,46 +67,48 @@ class ZeroERSpec extends SparkSpec with PropSupport {
     val pGood = DatasetProfiles("D4").scaled(0.03)
     // 0.5 maximizes the chance that exactly one side rotated its attributes
     val pBad  = pGood.copy(misplaceRate = 0.5)
-    def f1Of(p: repro.data.CleanProfile): Double =
-      ZeroER.run(ERSynth.source(spark, p, 1), ERSynth.source(spark, p, 2),
-        ERSynth.groundTruth(spark, p), budgetSecs = 120).map(_.f1).getOrElse(0.0)
+    def f1Of(p: CleanProfile): Double = run(p, budgetSecs = 120).map(_.f1).getOrElse(0.0)
     val good = f1Of(pGood)
     val bad  = f1Of(pBad)
     assert(bad < good * 0.75, s"misplaced values must hurt ZeroER: good=$good bad=$bad")
   }
 
   test("budget exhaustion returns None") {
-    val p = DatasetProfiles("D3").scaled(0.1) // long product descriptions
-    val res = ZeroER.run(
-      ERSynth.source(spark, p, 1), ERSynth.source(spark, p, 2),
-      ERSynth.groundTruth(spark, p), budgetSecs = 0.001)
+    val res = run(DatasetProfiles("D3").scaled(0.1), budgetSecs = 0.001) // long product descriptions
     assert(res.isEmpty)
   }
 
-  private def referenceBlocking(s1: DataFrame, s2: DataFrame, cap: Int): Set[(Long, Long)] =
-    ReferenceZeroER.overlapBlocking(s1, s2, cap).collect().map(r => (r.getLong(0), r.getLong(1))).toSet
+  test("the DataFrame form returns exactly what the array form returns (D4 x0.05)") {
+    val p = DatasetProfiles("D4").scaled(0.05)
+    val frame = ZeroER.run(ERSynth.source(spark, p, 1), ERSynth.source(spark, p, 2), ERSynth.groundTruth(spark, p), 3600)
+    val arrays = run(p, budgetSecs = 3600)
+    assert(frame.isDefined && arrays.isDefined)
+    assert(frame.map(r => (r.precision, r.recall, r.f1)) == arrays.map(r => (r.precision, r.recall, r.f1)))
+  }
+
+  private def referenceBlocking(e1: Array[EntityRow], e2: Array[EntityRow], cap: Int): Set[(Long, Long)] = {
+    import spark.implicits._
+    ReferenceZeroER.overlapBlocking(e1.toSeq.toDF(), e2.toSeq.toDF(), cap)
+      .collect().map(r => (r.getLong(0), r.getLong(1))).toSet
+  }
 
   // D4: clean titles; D1: missing and misplaced values; D3: long text with frequent tokens
   for ((ds, scale) <- Seq(("D4", 0.03), ("D1", 0.05), ("D3", 0.02))) {
     test(s"overlap blocking equals the Spark SQL reference on $ds x$scale, also at cap 3 and on permuted inputs") {
-      val p = DatasetProfiles(ds).scaled(scale)
-      val s1 = ERSynth.source(spark, p, 1).cache()
-      val s2 = ERSynth.source(spark, p, 2).cache()
-      try {
-        val (e1, e2) = (rows(s1), rows(s2))
-        val shuffle = new scala.util.Random(7)
-        for (cap <- Seq(500, 3)) {
-          val blocked = ZeroER.overlapBlocking(e1, e2, cap)
-          assert(blocked.nonEmpty)
-          assert(blocked.toSet == referenceBlocking(s1, s2, cap), s"cap $cap")
-          assert(blocked.distinct.length == blocked.length, "a pair is repeated")
-          assert(blocked.groupBy(_._1).forall(_._2.length <= cap), s"more than $cap rights for a left entity")
-          assert(blocked.map(_._1).toSeq == blocked.map(_._1).sorted.toSeq, "left ids out of order")
-          assert(ZeroER.overlapBlocking(e1.reverse, e2.reverse, cap).sameElements(blocked), "reversed inputs")
-          assert(ZeroER.overlapBlocking(shuffle.shuffle(e1.toSeq).toArray, shuffle.shuffle(e2.toSeq).toArray, cap)
-            .sameElements(blocked), "shuffled inputs")
-        }
-      } finally { s1.unpersist(); s2.unpersist() }
+      val src = Pipeline.sources(spark, DatasetProfiles(ds).scaled(scale))
+      val (e1, e2) = (src.e1, src.e2)
+      val shuffle = new scala.util.Random(7)
+      for (cap <- Seq(500, 3)) {
+        val blocked = ZeroER.overlapBlocking(e1, e2, cap)
+        assert(blocked.nonEmpty)
+        assert(blocked.toSet == referenceBlocking(e1, e2, cap), s"cap $cap")
+        assert(blocked.distinct.length == blocked.length, "a pair is repeated")
+        assert(blocked.groupBy(_._1).forall(_._2.length <= cap), s"more than $cap rights for a left entity")
+        assert(blocked.map(_._1).toSeq == blocked.map(_._1).sorted.toSeq, "left ids out of order")
+        assert(ZeroER.overlapBlocking(e1.reverse, e2.reverse, cap).sameElements(blocked), "reversed inputs")
+        assert(ZeroER.overlapBlocking(shuffle.shuffle(e1.toSeq).toArray, shuffle.shuffle(e2.toSeq).toArray, cap)
+          .sameElements(blocked), "shuffled inputs")
+      }
     }
   }
 

@@ -10,10 +10,10 @@ import repro.embed.ModelRegistry
   */
 class FamilyOrderingSpec extends SparkSpec {
 
-  private lazy val runs: Map[String, Pipeline.Run] =
-    Pipeline.withSources(spark, DatasetProfiles("D10").scaled(0.03)) { src =>
-      ModelRegistry.all.map(m => m.code -> Pipeline.run(src, m.code, 10)).toMap
-    }
+  private lazy val runs: Map[String, Pipeline.Run] = {
+    val src = Pipeline.sources(spark, DatasetProfiles("D10").scaled(0.03))
+    ModelRegistry.all.map(m => m.code -> Pipeline.run(src, m.code, 10)).toMap
+  }
 
   private def rec10(code: String) = runs(code).recallAt(10)
   private def f1(code: String)    = runs(code).umcBest().f1

@@ -1,12 +1,12 @@
 package repro.core
 
 import repro.SparkSpec
-import repro.data.DatasetProfiles
+import repro.data.{DatasetProfiles, ERSynth}
 
 class PipelineSpec extends SparkSpec {
 
   private def run(ds: String, scale: Double, model: String, k: Int): Pipeline.Run =
-    Pipeline.withSources(spark, DatasetProfiles(ds).scaled(scale))(Pipeline.run(_, model, k))
+    Pipeline.run(Pipeline.sources(spark, DatasetProfiles(ds).scaled(scale)), model, k)
 
   private lazy val d5 = run("D5", 0.02, "S5", 16)
 
@@ -77,13 +77,20 @@ class PipelineSpec extends SparkSpec {
   }
 
   test("vectorization time is measured positive") {
-    val secs = Pipeline.withSources(spark, DatasetProfiles("D1").scaled(0.1))(Pipeline.vectorize(_, "GE").secs)
+    val secs = Pipeline.vectorize(Pipeline.sources(spark, DatasetProfiles("D1").scaled(0.1)), "GE").secs
     assert(secs > 0)
   }
 
   test("gt is the scaled profile's duplicate set") {
     val p = DatasetProfiles("D5").scaled(0.02)
     assert(d5.src.gt.size == p.dups)
+    assert(d5.src.gt == ERSynth.groundTruth(spark, p).collect().map(r => (r.getLong(0), r.getLong(1))).toSet)
+  }
+
+  test("sources are the rendered entities of each side, in id order") {
+    val p = DatasetProfiles("D5").scaled(0.02)
+    assert(d5.src.e1.toSeq == (0L until p.v1).map(ERSynth.renderEntity(p, 1, _)))
+    assert(d5.src.e2.toSeq == (0L until p.v2).map(ERSynth.renderEntity(p, 2, _)))
   }
 
   test("sim is 1/(1+dist): 1 at distance 0, decreasing, bounded in (0, 1]") {

@@ -116,9 +116,12 @@ class ERSynthSpec extends SparkSpec {
   }
 
   test("stats computes the Table 2(a) row") {
-    val (v1, v2, a1, a2, d, avgLen) = ERSynth.stats(spark, p)
+    val (v1, v2, a1, a2, d, avgLen) = ERSynth.stats(p)
     assert(v1 == p.v1 && v2 == p.v2 && a1 == p.a1 && a2 == p.a2 && d == p.dups)
     assert(avgLen > 5 && avgLen < 400, s"avg sentence length $avgLen")
+    import spark.implicits._
+    val sparkLen = Seq(1, 2).map(ERSynth.source(spark, p, _).agg(sum(length(col("sentence")))).as[Long].head()).sum
+    assert(avgLen == sparkLen.toDouble / (p.v1 + p.v2), "Spark SQL length() agrees")
   }
 
   test("oracle: entity counts and average sentence length agree with DuckDB") {

@@ -2,6 +2,7 @@ package repro.embed
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.SparkSpec
+import repro.data.EntityRow
 import repro.util.Det
 
 class VectorizerSpec extends SparkSpec {
@@ -129,6 +130,12 @@ class VectorizerSpec extends SparkSpec {
     val viaSpark = Vectorizer.vectorize(df, "GE", "tag").as[(Long, Array[Float])].collect().head._2
     val direct   = Vectorizer.embed("GE", "vala beta gomo", Det.seed(Det.strHash("tag"), 7L))
     assert(viaSpark.toSeq == direct.toSeq)
+    val Seq(viaArrays, other) = Vectorizer.vectorize(spark.sparkContext, "GE",
+      Seq(Array(EntityRow(7L, Seq("vala beta gomo"), "vala beta gomo")) -> "tag",
+          Array(EntityRow(7L, Nil, "vala"), EntityRow(8L, Nil, "beta")) -> "other"))
+    assert(viaArrays.map(_._1).toSeq == Seq(7L) && viaArrays.head._2.toSeq == direct.toSeq)
+    assert(other.map(_._1).toSeq == Seq(7L, 8L))
+    assert(other(1)._2.toSeq == Vectorizer.embed("GE", "beta", Det.seed(Det.strHash("other"), 8L)).toSeq)
   }
 
   test("noise tags decouple sources") {

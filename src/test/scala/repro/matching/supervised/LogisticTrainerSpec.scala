@@ -92,7 +92,6 @@ class LogisticTrainerSpec extends AnyFunSuite {
   test("PairFeatures layout: |diff| then product") {
     val f = PairFeatures.features(Array(1f, 2f), Array(3f, -1f))
     assert(f.toSeq == Seq(2f, 3f, 3f, -2f))
-    assert(PairFeatures.dim(2) == 4)
   }
 
   test("PairFeatures rejects dim mismatch") {

@@ -51,7 +51,7 @@ class TablesSpec extends SparkSpec {
     val r = Table5b.run(spark, Scale)
     assert(r.table.rows.map(_.head) == "ds" +: datasets)
     DatasetProfiles.all.foreach { p =>
-      val f1 = Pipeline.withSources(spark, p.scaled(Scale))(Pipeline.run(_, "S5", 10).umcAt(0.5).f1)
+      val f1 = Pipeline.run(Pipeline.sources(spark, p.scaled(Scale)), "S5", 10).umcAt(0.5).f1
       assert(r.s5F1(p.name) == f1, p.name)
     }
   }
