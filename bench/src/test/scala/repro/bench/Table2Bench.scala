@@ -1,12 +1,12 @@
 package repro.bench
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 import repro.tables.Table2
 
 /** Table 2: the generated datasets have the paper's sizes. */
-class Table2Bench extends SparkSpec {
+class Table2Bench extends AnyFunSuite {
 
-  private lazy val report = Table2.run(spark)
+  private lazy val report = Table2.run()
 
   test("Table 2(a): real datasets for Clean-Clean ER") {
     report.a.print()

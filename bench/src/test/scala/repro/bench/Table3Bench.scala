@@ -1,10 +1,10 @@
 package repro.bench
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 import repro.tables.Table3
 
 /** Table 3: the supervised-matching datasets have the paper's counts. */
-class Table3Bench extends SparkSpec {
+class Table3Bench extends AnyFunSuite {
 
   test("Table 3: supervised matching datasets") {
     val report = Table3.run()

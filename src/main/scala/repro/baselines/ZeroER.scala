@@ -71,7 +71,7 @@ object ZeroER {
     * ties broken by the lower right id. Pairs come in (id1 asc, overlap
     * desc, id2 asc) order.
     */
-  def overlapBlocking(e1: Array[EntityRow], e2: Array[EntityRow], cap: Int = 500): Array[(Long, Long)] = {
+  def overlapBlocking(e1: Array[EntityRow], e2: Array[EntityRow], cap: Int = BlockingCap): Array[(Long, Long)] = {
     val (s1, s2) = (new Side(e1), new Side(e2))
     val (p1, p2) = candidates(s1, s2, cap, () => ())
     Array.tabulate(p1.length)(c => (s1.ids(p1(c)), s2.ids(p2(c))))
@@ -140,11 +140,14 @@ object ZeroER {
   /** The "did not terminate" budget of Table 5(b), in seconds. */
   val DefaultBudgetSecs = 30.0
 
+  /** Rights kept per left entity by [[run]]'s overlap blocking. */
+  val BlockingCap = 500
+
   /** Run end-to-end on the two sources and the ground-truth (id1, id2)
     * pairs; None if the time budget is exhausted.
     */
   def run(e1: Array[EntityRow], e2: Array[EntityRow], gt: Set[(Long, Long)],
-          budgetSecs: Double = DefaultBudgetSecs, cap: Int = 500): Option[Result] = {
+          budgetSecs: Double = DefaultBudgetSecs): Option[Result] = {
     val t0 = System.nanoTime()
     def elapsed: Double = (System.nanoTime() - t0) / 1e9
     def check(): Unit = if (elapsed > budgetSecs) throw new Timeout
@@ -152,7 +155,7 @@ object ZeroER {
     try {
       // ---- preprocessing phase: blocking + feature computation ----
       val side1 = new Side(e1); val side2 = new Side(e2)
-      val (c1, c2) = candidates(side1, side2, cap, () => check())
+      val (c1, c2) = candidates(side1, side2, BlockingCap, () => check())
       check()
 
       // strictly schema-based features: attribute i vs attribute i only —

@@ -1,6 +1,5 @@
 package repro.data
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.util.Det
 
 /** Febrl-style Dirty-ER generator (Table 2(b) substitute; DESIGN.md §1).
@@ -15,16 +14,12 @@ import repro.util.Det
   * clusters of sizes {2, 2, 3, 5, 8} → 43 duplicate pairs per block
   * (0.86 pairs/entity; the paper's D_10K has 0.87).
   */
-object FebrlSynth extends Serializable {
+object FebrlSynth {
 
   val Block = 50
   /** (start offset, size) of each non-singleton cluster within a block. */
   val Clusters: Seq[(Int, Int)] = Seq((30, 2), (32, 2), (34, 3), (37, 5), (42, 8))
   val PairsPerBlock: Int = Clusters.map { case (_, s) => s * (s - 1) / 2 }.sum // 43
-
-  val AttrNames: Seq[String] = Seq(
-    "given_name", "surname", "street_number", "address_1", "address_2", "suburb",
-    "postcode", "state", "date_of_birth", "age", "phone_number", "soc_sec_id")
 
   /** Cluster key and copy index for an entity id. Singletons get a unique
     * key (bit 60 set); clustered ids share (block, clusterIdx).
@@ -40,7 +35,10 @@ object FebrlSynth extends Serializable {
     }
   }
 
-  /** Clean base record of a cluster: 12 Febrl attributes. */
+  /** Clean base record of a cluster, the 12 Febrl attributes: given name,
+    * surname, street number, address 1 and 2, suburb, postcode, state,
+    * date of birth, age, phone number and social security id.
+    */
   def baseRecord(key: Long): Array[String] = {
     def s(i: Int) = Det.seed(key, 0xfebaL, i.toLong)
     def digits(n: Int, seedIdx: Int): String =
@@ -97,29 +95,19 @@ object FebrlSynth extends Serializable {
     EntityRow(id, attrs.toSeq, attrs.filter(_.nonEmpty).mkString(" "))
   }
 
-  /** DataFrame (id, attrs, sentence) with `n` entities. */
-  def entities(spark: SparkSession, n: Long, tag: String = "febrl"): DataFrame = {
-    import spark.implicits._
-    spark.range(n).as[Long].map(i => renderEntity(tag, i)).toDF()
-  }
-
   /** Ground-truth duplicate pairs (id1 < id2) among the first `n` ids. */
-  def duplicatePairs(spark: SparkSession, n: Long): DataFrame = {
-    import spark.implicits._
-    spark.range(n).as[Long]
-      .flatMap { id =>
-        val (key, _) = clusterOf(id)
-        if (key >= (1L << 60)) Iterator.empty[(Long, Long)]
-        else {
-          // pair this id with every later id in the same cluster (bounded ≤ 8)
-          val blk = id / Block
-          val (st, sz) = Clusters((key & 0xff).toInt)
-          val last = math.min(blk * Block + st + sz - 1, n - 1)
-          Iterator.range(id + 1, last + 1).map(other => (id, other))
-        }
+  def duplicatePairs(n: Long): Iterator[(Long, Long)] =
+    Iterator.range(0L, n).flatMap { id =>
+      val (key, _) = clusterOf(id)
+      if (key >= (1L << 60)) Iterator.empty[(Long, Long)]
+      else {
+        // pair this id with every later id in the same cluster (bounded ≤ 8)
+        val blk = id / Block
+        val (st, sz) = Clusters((key & 0xff).toInt)
+        val last = math.min(blk * Block + st + sz - 1, n - 1)
+        Iterator.range(id + 1, last + 1).map(other => (id, other))
       }
-      .toDF("id1", "id2")
-  }
+    }
 
   /** Sizes of Table 2(b): D_10K … D_2M. */
   val TableSizes: Seq[(String, Long)] = Seq(

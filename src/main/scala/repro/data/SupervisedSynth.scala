@@ -62,7 +62,6 @@ object SupervisedSynth {
     dropRate = 0.06, missRate = 0.08, misplaceRate = 0.05, vocab = 9000)
 
   val all: Seq[DsmProfile] = Seq(DSM1, DSM2, DSM3, DSM4, DSM5)
-  val byName: Map[String, DsmProfile] = all.map(p => p.name -> p).toMap
 
   /** The ERSynth profile used to render this DSM's records. */
   private def asClean(p: DsmProfile): CleanProfile = CleanProfile(

@@ -32,9 +32,12 @@ object SupervisedMatcher {
       if (m.code == "XT") (base * 1.5).toLong else base
     }
 
+  /** Training epochs and the seed of the logistic head, salted per model. */
+  private val Epochs = 12
+  private val Seed = 7L
+
   /** Featurizes, trains and tests `model` on one DSM's rendered pairs. */
-  def run(spark: SparkSession, pairs: Pairs, model: ModelSpec,
-          epochs: Int = 12, seed: Long = 7L): Result = {
+  def run(spark: SparkSession, pairs: Pairs, model: ModelSpec): Result = {
     val code = model.code
     val nameHash = Det.strHash(pairs.profile.name)
     // Fine-tuning adapts the dynamic encoders to the task, suppressing part
@@ -56,7 +59,7 @@ object SupervisedMatcher {
     val trained = LogisticTrainer.train(
       train.map(_._1), train.map(_._2),
       valid.map(_._1), valid.map(_._2),
-      epochs = epochs, seed = Det.seed(seed, Det.strHash(code)),
+      epochs = Epochs, seed = Det.seed(Seed, Det.strHash(code)),
       epochCostUnitsPerExample = units)
     val tTrain = (System.nanoTime() - t0) / 1e9
 

@@ -8,7 +8,7 @@ import repro.data.DatasetProfiles
 /** Table 5(b): unsupervised matching — ZeroER (t_p, t_m) vs the one path
   * with S-GTR-T5 (k=10 blocking + UMC at δ=0.5), with the F1 comparison
   * of Figure 8(d). ZeroER's "did not terminate" budget is
-  * `ZEROER_BUDGET_SEC` seconds (default [[ZeroER.DefaultBudgetSecs]]).
+  * [[ZeroER.DefaultBudgetSecs]] seconds.
   */
 object Table5b {
 
@@ -25,10 +25,9 @@ object Table5b {
   }
 
   def run(spark: SparkSession, scale: Double): Result = {
-    val budget = sys.env.get("ZEROER_BUDGET_SEC").fold(ZeroER.DefaultBudgetSecs)(_.toDouble)
     val perDataset = DatasetProfiles.all.map { p0 =>
       val src = Pipeline.sources(spark, p0.scaled(scale))
-      val ze = ZeroER.run(src.e1, src.e2, src.gt, budgetSecs = budget)
+      val ze = ZeroER.run(src.e1, src.e2, src.gt)
       val s5 = Pipeline.run(src, "S5", 10)
       (p0.name, ze, s5.vecSecs + s5.blockSecs, s5.umcAt(0.5))
     }
@@ -40,7 +39,7 @@ object Table5b {
           ze.fold("-")(r => Tab.f(r.f1)),
           Tab.f(s5Prep, 1), Tab.f(s5.secs * 1000, 0), Tab.f(s5.f1))
       }
-    Result(Printed(s"Table 5(b) — ZeroER vs S-GTR-T5 (scale=$scale, budget=${budget}s)", rows),
+    Result(Printed(s"Table 5(b) — ZeroER vs S-GTR-T5 (scale=$scale, budget=${ZeroER.DefaultBudgetSecs}s)", rows),
       zeroerTimeouts = perDataset.count(_._2.isEmpty),
       s5NotWorse = perDataset.count { case (_, ze, _, s5) => ze.forall(r => s5.f1 >= r.f1 - 0.03) },
       s5F1 = perDataset.map { case (ds, _, _, s5) => ds -> s5.f1 }.toMap)

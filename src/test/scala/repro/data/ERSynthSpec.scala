@@ -44,8 +44,8 @@ class ERSynthSpec extends SparkSpec {
   }
 
   test("attrs arity matches the profile per side") {
-    val r1 = ERSynth.source(spark, p, 1).select("attrs").head.getSeq[String](0)
-    val r2 = ERSynth.source(spark, p, 2).select("attrs").head.getSeq[String](0)
+    val r1 = ERSynth.source(spark, p, 1).select("attrs").head().getSeq[String](0)
+    val r2 = ERSynth.source(spark, p, 2).select("attrs").head().getSeq[String](0)
     assert(r1.size == p.a1 && r2.size == p.a2)
   }
 
@@ -56,7 +56,7 @@ class ERSynthSpec extends SparkSpec {
   }
 
   test("renderEntity is pure and equals the DataFrame content") {
-    val viaDf = ERSynth.source(spark, p, 1).filter(col("id") === 3L).head
+    val viaDf = ERSynth.source(spark, p, 1).filter(col("id") === 3L).head()
     val direct = ERSynth.renderEntity(p, 1, 3L)
     assert(viaDf.getString(2) == direct.sentence)
   }

@@ -33,7 +33,6 @@ class FebrlSynthSpec extends SparkSpec {
   }
 
   test("baseRecord has the 12 Febrl attributes") {
-    assert(FebrlSynth.AttrNames.size == 12)
     assert(FebrlSynth.baseRecord(7L).length == 12)
   }
 
@@ -68,26 +67,31 @@ class FebrlSynthSpec extends SparkSpec {
     assert(t1.intersect(t2).size >= t1.size / 2)
   }
 
-  test("entities DataFrame has n rows with 12 attrs") {
-    val df = FebrlSynth.entities(spark, 200)
-    assert(df.count() == 200)
-    assert(df.select("attrs").head.getSeq[String](0).size == 12)
+  test("rendered entities have n rows with 12 attrs") {
+    val rows = (0L until 200L).map(FebrlSynth.renderEntity("febrl", _))
+    assert(rows.map(_.id) == (0L until 200L))
+    assert(rows.forall(_.attrs.size == 12))
   }
 
   test("duplicatePairs count matches the block formula") {
     val n = 500L
-    val pairs = FebrlSynth.duplicatePairs(spark, n)
-    assert(pairs.count() == (n / 50) * FebrlSynth.PairsPerBlock)
+    assert(FebrlSynth.duplicatePairs(n).size == (n / 50) * FebrlSynth.PairsPerBlock)
+  }
+
+  test("duplicatePairs count matches the block formula at every Table 2(b) size") {
+    FebrlSynth.TableSizes.foreach { case (name, n) =>
+      assert(FebrlSynth.duplicatePairs(n).size == (n / 50) * FebrlSynth.PairsPerBlock, name)
+    }
   }
 
   test("duplicatePairs respects the n boundary on a partial block") {
-    val pairs = FebrlSynth.duplicatePairs(spark, 45) // cluster E truncated at 45
+    val pairs = FebrlSynth.duplicatePairs(45) // cluster E truncated at 45
     val expected = 1 + 1 + 3 + 10 + (3 * 2 / 2) // E has only ids 42,43,44
-    assert(pairs.count() == expected)
+    assert(pairs.size == expected)
   }
 
   test("duplicatePairs are ordered id1 < id2 and unique") {
-    val rows = FebrlSynth.duplicatePairs(spark, 300).collect().map(r => (r.getLong(0), r.getLong(1)))
+    val rows = FebrlSynth.duplicatePairs(300).toArray
     assert(rows.forall { case (a, b) => a < b })
     assert(rows.distinct.length == rows.length)
   }
@@ -99,9 +103,11 @@ class FebrlSynthSpec extends SparkSpec {
   }
 
   test("average sentence length is in the Febrl ballpark (~84 chars)") {
-    val df = FebrlSynth.entities(spark, 500)
-    val avgLen = df.agg(avg(length(col("sentence")))).head.getDouble(0)
+    import spark.implicits._
+    val rows = (0L until 500L).map(FebrlSynth.renderEntity("febrl", _))
+    val avgLen = rows.toDF().agg(avg(length(col("sentence")))).as[Double].head()
     assert(avgLen > 60 && avgLen < 110, s"avg $avgLen")
+    assert(avgLen == rows.map(_.sentence.length.toLong).sum.toDouble / rows.size, "driver sum / count agrees")
   }
 
   test("Table 2(b) sizes are 10K..2M") {
@@ -110,7 +116,8 @@ class FebrlSynthSpec extends SparkSpec {
   }
 
   test("oracle: pair counts agree with DuckDB") {
-    val pairs = FebrlSynth.duplicatePairs(spark, 250)
+    import spark.implicits._
+    val pairs = FebrlSynth.duplicatePairs(250).toSeq.toDF("id1", "id2")
     val agg = pairs.agg(count(lit(1)).cast("long").as("n"))
     Oracle.assertEquivalent(agg, "SELECT count(*) AS n FROM pairs", "pairs" -> pairs)
   }
