@@ -22,6 +22,8 @@ object DeepBlocker {
 
   val EncDim = 128
   private val FtDim  = 300
+  private val AeLr   = 0.02f // the auto-encoder's SGD step
+  private val DropoutRate = 0.3 // share of tokens a self-supervised positive drops
 
   /** (query id, index id) candidates, and the seconds blocking took. */
   final case class Blocked(candidates: Array[(Long, Long)], secs: Double)
@@ -31,7 +33,7 @@ object DeepBlocker {
     * with norm ≫ 1.
     */
   private[baselines] def trainAutoEncoder(sample0: Array[Array[Float]], seed: Long,
-                                          epochs: Int = 5, lr: Float = 0.02f): Array[Float] = {
+                                          epochs: Int = 5): Array[Float] = {
     val sample = sample0.map(v => Det.normalize(v.clone()))
     // W is FtDim x EncDim, row-major; encode z = W^T x, decode x^ = W z
     val w = new Array[Float](FtDim * EncDim)
@@ -60,7 +62,7 @@ object DeepBlocker {
         // dW ≈ err zᵀ (decoder grad; tied-encoder term omitted — standard simplification)
         r = 0
         while (r < FtDim) {
-          val er = err(r) * lr
+          val er = err(r) * AeLr
           var c = 0
           while (c < EncDim) { w(r * EncDim + c) -= er * z(c); c += 1 }
           r += 1
@@ -93,9 +95,9 @@ object DeepBlocker {
   }
 
   /** Token dropout for self-supervised positives. */
-  private def dropout(sentence: String, seed: Long, rate: Double = 0.3): String =
+  private def dropout(sentence: String, seed: Long): String =
     Tokenizer.tokenize(sentence).zipWithIndex
-      .filter { case (_, i) => Det.uniform(Det.seed(seed, i.toLong)) >= rate }
+      .filter { case (_, i) => Det.uniform(Det.seed(seed, i.toLong)) >= DropoutRate }
       .map(_._1).mkString(" ")
 
   /** Block: every query entity keeps its k top-scored index candidates.
@@ -135,20 +137,17 @@ object DeepBlocker {
     //    cost) and keep the k best per query by (score desc, nid asc)
     val overK = math.max(2 * k, k + 2)
     val cands = ExactKnnBlocker.search(spark, encoded(qv), encoded(iv), overK).groupBy(_._1)
-    val bw = sc.broadcast(w)
-    val bIndex = sc.broadcast((iv.map(_._1), iv.map(_._2)))
     val queryCands = qv.flatMap { case (qid, v) => cands.get(qid).map(rows => (qid, v, rows.map(_._2))) }
-    val top = LocalSpark.fanOut(sc, queryCands) { case (qid, v, nids) =>
-      val (ids, vecs) = bIndex.value
-      val scored = nids.map { nid =>
-        val f = PairFeatures.features(encode(bw.value, v),
-          encode(bw.value, vecs(java.util.Arrays.binarySearch(ids, nid))))
-        (classifier.margin(f), nid)
+    val top = LocalSpark.fanOut(sc, (w, iv.map(_._1), iv.map(_._2)), queryCands) { case ((w, ids, vecs), slice) =>
+      slice.flatMap { case (qid, v, nids) =>
+        val scored = nids.map { nid =>
+          val f = PairFeatures.features(encode(w, v), encode(w, vecs(java.util.Arrays.binarySearch(ids, nid))))
+          (classifier.margin(f), nid)
+        }
+        scored.sortWith { case ((s1, n1), (s2, n2)) => s1 > s2 || (s1 == s2 && n1 < n2) }
+          .take(k).map { case (_, nid) => (qid, nid) }
       }
-      scored.sortWith { case ((s1, n1), (s2, n2)) => s1 > s2 || (s1 == s2 && n1 < n2) }
-        .take(k).map { case (_, nid) => (qid, nid) }
     }.flatten
-    bw.destroy(); bIndex.destroy()
     Blocked(top, (System.nanoTime() - t0) / 1e9)
   }
 

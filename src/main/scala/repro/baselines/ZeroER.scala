@@ -24,10 +24,14 @@ object ZeroER {
   final case class Result(precision: Double, recall: Double, f1: Double,
                           prepSecs: Double, matchSecs: Double)
 
+  /** Characters of a string that [[levSim]] compares, and the iterations of [[emPosteriors]]. */
+  private val LevCap  = 400
+  private val EmIters = 30
+
   /** Levenshtein similarity 1 − dist/maxLen over length-capped strings. */
-  def levSim(a0: String, b0: String, cap: Int = 400): Double = {
-    val a = if (a0.length > cap) a0.substring(0, cap) else a0
-    val b = if (b0.length > cap) b0.substring(0, cap) else b0
+  def levSim(a0: String, b0: String): Double = {
+    val a = if (a0.length > LevCap) a0.substring(0, LevCap) else a0
+    val b = if (b0.length > LevCap) b0.substring(0, LevCap) else b0
     if (a.isEmpty && b.isEmpty) return 1.0
     if (a.isEmpty || b.isEmpty) return 0.0
     var prev = Array.tabulate(b.length + 1)(identity)
@@ -206,7 +210,7 @@ object ZeroER {
     * copied once into one row-major matrix, and each iteration takes the
     * log of each variance once per feature; the sums run in row order.
     */
-  def emPosteriors(feats: Array[Array[Double]], check: () => Unit, iters: Int = 30): Array[Double] = {
+  def emPosteriors(feats: Array[Array[Double]], check: () => Unit): Array[Double] = {
     val n = feats.length
     if (n == 0) return Array.empty
     val d = feats(0).length
@@ -227,7 +231,7 @@ object ZeroER {
     var piM = 0.1
 
     var it = 0
-    while (it < iters) {
+    while (it < EmIters) {
       check()
       // M-step
       var wM = 0.0

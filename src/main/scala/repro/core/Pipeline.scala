@@ -22,12 +22,6 @@ object Pipeline {
   /** The paper's similarity of two entities at Euclidean distance `dist`. */
   def sim(dist: Double): Double = 1.0 / (1.0 + dist)
 
-  /** Blocking recall (pairs completeness): the share of ground-truth
-    * pairs among the candidates; 1 when there is no ground truth.
-    */
-  def recall(candidates: Set[(Long, Long)], gt: Set[(Long, Long)]): Double =
-    if (gt.isEmpty) 1.0 else gt.count(candidates.contains).toDouble / gt.size
-
   /** A dataset's two sources as driver arrays in id order, and its ground
     * truth: rendered once and shared by every model and baseline run on it,
     * whose fan-outs run on `spark`.
@@ -80,7 +74,8 @@ object Pipeline {
     def candidatePairs(k: Int): Set[(Long, Long)] =
       neighbours.iterator.filter(_._4 <= k).map { case (q, i, _, _) => src.canonical(q, i) }.toSet
 
-    def recallAt(k: Int): Double = recall(candidatePairs(k), src.gt)
+    /** Pairs completeness at k: the share of the ground truth among the candidates (1 if none). */
+    def recallAt(k: Int): Double = MatchMetrics.prf(candidatePairs(k), src.gt)._2
 
     private def smallSize: Long = math.min(src.profile.v1, src.profile.v2).toLong
 

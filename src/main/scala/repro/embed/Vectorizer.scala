@@ -83,9 +83,6 @@ object Vectorizer extends Serializable {
   def runtime(code: String): ModelRuntime =
     runtimes.computeIfAbsent(code, c => new ModelRuntime(ModelRegistry(c)))
 
-  /** Build a fresh runtime, bypassing the cache — for timing Init. */
-  def freshRuntime(code: String): ModelRuntime = new ModelRuntime(ModelRegistry(code))
-
   /** Seed for a token's base vector, routed through the vocab table. */
   private def tokenSeed(rt: ModelRuntime, surface: String): Long = {
     val h   = Det.strHash(surface)
@@ -106,17 +103,12 @@ object Vectorizer extends Serializable {
 
   private def addWordVec(rt: ModelRuntime, token: String, acc: Array[Float]): Unit = {
     val cache = rt.wordCache
-    if (cache != null) {
-      var v = cache.get(token)
-      if (v == null) {
-        v = Det.uniformVec(tokenSeed(rt, knownSurface(rt, token)), rt.spec.dim)
-        if (cache.size < (1 << 18)) cache.put(token, v)
-      }
-      var i = 0; while (i < acc.length) { acc(i) += v(i); i += 1 }
-    } else {
-      val v = Det.uniformVec(tokenSeed(rt, knownSurface(rt, token)), rt.spec.dim)
-      var i = 0; while (i < acc.length) { acc(i) += v(i); i += 1 }
+    var v = if (cache == null) null else cache.get(token)
+    if (v == null) {
+      v = Det.uniformVec(tokenSeed(rt, knownSurface(rt, token)), rt.spec.dim)
+      if (cache != null && cache.size < (1 << 18)) cache.put(token, v)
     }
+    var i = 0; while (i < acc.length) { acc(i) += v(i); i += 1 }
   }
 
   private def addNgramVec(rt: ModelRuntime, token: String, acc: Array[Float], weight: Float): Unit = {

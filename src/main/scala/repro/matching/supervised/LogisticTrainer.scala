@@ -23,6 +23,10 @@ final case class TrainedModel(weights: Array[Float], bias: Float, chosenEpoch: I
 
 object LogisticTrainer {
 
+  /** AdaGrad's base step and the L2 penalty of [[train]]. */
+  private val Lr = 0.5
+  private val L2 = 1e-4
+
   /** Burn `units` multiply-adds on the buffer (simulated encoder pass).
     * Coefficients sum below 1 with a constant drive, so the recurrence is
     * bounded but never at a fixed point for the 0.5-initialized buffer.
@@ -50,8 +54,7 @@ object LogisticTrainer {
     */
   def train(xTrain: Array[Array[Float]], yTrain: Array[Int],
             xValid: Array[Array[Float]], yValid: Array[Int],
-            epochs: Int = 12, lr: Double = 0.5, l2: Double = 1e-4,
-            seed: Long = 7L, epochCostUnitsPerExample: Long = 0L): TrainedModel = {
+            epochs: Int = 12, seed: Long = 7L, epochCostUnitsPerExample: Long = 0L): TrainedModel = {
     require(xTrain.nonEmpty, "empty training set")
     val d = xTrain(0).length
     val w = new Array[Float](d)
@@ -91,14 +94,14 @@ object LogisticTrainer {
         val g = (p - y) * (if (y == 1) posW else 1.0)
         j = 0
         while (j < d) {
-          val gj = (g * x(j) + l2 * w(j)).toFloat
+          val gj = (g * x(j) + L2 * w(j)).toFloat
           acc(j) += gj * gj
-          w(j) = (w(j) - lr * gj / math.sqrt(acc(j) + Eps)).toFloat
+          w(j) = (w(j) - Lr * gj / math.sqrt(acc(j) + Eps)).toFloat
           j += 1
         }
         val gb = g.toFloat
         accB += gb * gb
-        b = (b - lr * gb / math.sqrt(accB + Eps)).toFloat
+        b = (b - Lr * gb / math.sqrt(accB + Eps)).toFloat
         if (epochCostUnitsPerExample > 0) simulatedEncoderWork(encoderBuf, epochCostUnitsPerExample)
         oi += 1
       }

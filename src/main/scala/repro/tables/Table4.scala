@@ -3,7 +3,7 @@ package repro.tables
 import org.apache.spark.sql.SparkSession
 import repro.core.{Pipeline, Tab}
 import repro.data.DatasetProfiles
-import repro.embed.{Family, ModelRegistry, ModelRuntime, Vectorizer}
+import repro.embed.{Family, ModelRegistry, ModelRuntime}
 
 /** Table 4: vectorization time per model — the Init row (loading the
   * model's tables/weights, the median of [[InitRuns]] fresh builds, with
@@ -30,7 +30,7 @@ object Table4 {
     // over the models instead of landing on one
     val rounds = (1 to InitRuns).map(_ => models.map { c =>
       val t0 = System.nanoTime()
-      val rt = Vectorizer.freshRuntime(c)
+      val rt = new ModelRuntime(ModelRegistry(c))
       (rt, (System.nanoTime() - t0) / 1e6)
     })
     val initMs = models.indices.map(j => rounds.map(_(j)._2).sorted.apply(InitRuns / 2))

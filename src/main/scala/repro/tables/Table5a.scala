@@ -4,6 +4,7 @@ import org.apache.spark.sql.SparkSession
 import repro.baselines.DeepBlocker
 import repro.core.{Pipeline, Tab}
 import repro.data.DatasetProfiles
+import repro.matching.MatchMetrics
 
 /** Table 5(a): blocking — DeepBlocker (Auto-Encoder + FastText) vs the
   * best language model S-GTR-T5 (the one path's vectorize + exact k-NN),
@@ -25,7 +26,7 @@ object Table5a {
       val src = Pipeline.sources(spark, p0.scaled(scale))
       val (q, i) = src.querySides(src.e1, src.e2)
       val db = ks.map(k => DeepBlocker.block(spark, q, i, k, tag = s"t5a-${p0.name}-$k"))
-      val dbRec10 = Pipeline.recall(db.last.candidates.map((src.canonical _).tupled).toSet, src.gt)
+      val dbRec10 = MatchMetrics.prf(db.last.candidates.map((src.canonical _).tupled).toSet, src.gt)._2
       val s5 = ks.map(k => Pipeline.run(src, "S5", k))
       (p0.name, db.map(_.secs), s5.map(r => r.vecSecs + r.blockSecs), dbRec10, s5.last.recallAt(10))
     }

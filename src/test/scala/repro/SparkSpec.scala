@@ -1,7 +1,6 @@
 package repro
 
 import org.apache.spark.sql.SparkSession
-import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.LocalSpark
 
@@ -11,10 +10,8 @@ import repro.core.LocalSpark
   * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
   * limit).
   */
-trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
+trait SparkSpec extends AnyFunSuite {
   lazy val spark: SparkSession = SparkSpec.shared
-
-  override def afterAll(): Unit = { super.afterAll() }
 }
 
 object SparkSpec {

@@ -3,6 +3,7 @@ package repro.baselines
 import repro.SparkSpec
 import repro.core.Pipeline
 import repro.data.{DatasetProfiles, ERSynth, EntityRow}
+import repro.matching.MatchMetrics
 import repro.util.Det
 
 class DeepBlockerSpec extends SparkSpec {
@@ -55,7 +56,7 @@ class DeepBlockerSpec extends SparkSpec {
     assert(perQuery.forall(_ <= 5))
     // gt is (side1, side2); candidates are (query=side2, side1) here
     val canon = res.candidates.map(_.swap).toSet
-    val rec = Pipeline.recall(canon, src.gt)
+    val rec = MatchMetrics.prf(canon, src.gt)._2
     assert(rec > 0.8, s"DeepBlocker recall on easy D4: $rec")
     assert(res.secs > 0)
   }

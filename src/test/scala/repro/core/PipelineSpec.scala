@@ -100,11 +100,18 @@ class PipelineSpec extends SparkSpec {
     assert(Pipeline.sim(1e9) > 0.0)
   }
 
+  /** A run of hand-made neighbours on D1, whose side 1 is the query side. */
+  private def handRun(gt: Set[(Long, Long)], neighbours: (Long, Long, Double, Int)*): Pipeline.Run =
+    Pipeline.Run(Pipeline.Sources(spark, DatasetProfiles("D1"), Array.empty, Array.empty, gt), 0.0, 0.0,
+      neighbours.toArray)
+
   test("recall on exact candidates") {
-    assert(Pipeline.recall(Set((0L, 100L), (1L, 103L)), Set((0L, 100L), (1L, 104L))) == 0.5)
+    val r = handRun(Set((0L, 100L), (1L, 104L)), (0L, 100L, 0.1, 1), (1L, 103L, 0.2, 1), (1L, 104L, 0.3, 2))
+    assert(r.recallAt(1) == 0.5)
+    assert(r.recallAt(2) == 1.0)
   }
 
   test("recall of empty ground truth is 1") {
-    assert(Pipeline.recall(Set((0L, 100L)), Set.empty) == 1.0)
+    assert(handRun(Set.empty, (0L, 100L, 0.1, 1)).recallAt(1) == 1.0)
   }
 }

@@ -102,8 +102,8 @@ class VectorizerSpec extends SparkSpec {
     assert(emb("GE", s1, 1L).toSeq != emb("GE", s3, 1L).toSeq)
   }
 
-  test("freshRuntime builds equivalent state to the cached runtime") {
-    val r1 = Vectorizer.freshRuntime("SM")
+  test("a fresh runtime builds equivalent state to the cached runtime") {
+    val r1 = new ModelRuntime(ModelRegistry("SM"))
     val r2 = Vectorizer.runtime("SM")
     assert(r1.vocabTable.toSeq == r2.vocabTable.toSeq)
     assert(r1.weightDigest == r2.weightDigest)
