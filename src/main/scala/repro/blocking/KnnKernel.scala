@@ -9,8 +9,8 @@ import repro.util.Det
   * distances. It is found in two steps:
   *
   *  1. **Float screen.** Squared distances to every index row are summed
-  *     in float, a tile of rows at a time, and a bounded max-heap keeps
-  *     the `k + Slack` smallest per query. The screen reads the index in
+  *     in float, a tile of rows at a time, and a sorted buffer keeps the
+  *     `k + Slack` smallest per query. The screen reads the index in
   *     tiles of up to [[TileRows]] rows, one `Array[Float]` per dimension,
   *     so the innermost loop (`accumulate`) walks two arrays from index 0
   *     and C2 turns it into SIMD code. Indexing one flat array at an offset
@@ -89,7 +89,7 @@ object KnnKernel {
       s"query dimension differs from the index dimension ${index.dim}")
     val n = index.size
     val m = math.min(n, k + Slack)
-    val heaps = Array.fill(queries.length)(new FloatMaxHeap(m))
+    val best = Array.fill(queries.length)(new FloatBest(m))
     val acc = new Array[Float](TileRows)
     val tiles = index.tiles
     var t = 0
@@ -103,7 +103,7 @@ object KnnKernel {
         java.util.Arrays.fill(acc, 0f)
         var p = 0
         while (p < index.dim) { accumulate(acc, cols(p), q(p)); p += 1 }
-        val h = heaps(qi)
+        val h = best(qi)
         var j = 0
         while (j < rows) { h.offer(acc(j), base + j); j += 1 }
         qi += 1
@@ -111,8 +111,8 @@ object KnnKernel {
       t += 1
     }
     queries.indices.map { qi =>
-      val (vals, rows) = heaps(qi).drain()
-      if (certified(vals, k, n, index.dim)) rerank(index, queries(qi), rows, k, screened = true)
+      val b = best(qi)
+      if (certified(b.vals, k, n, index.dim)) rerank(index, queries(qi), b.rows, k, screened = true)
       else rerank(index, queries(qi), Array.range(0, n), k, screened = false)
     }.toArray
   }
@@ -167,56 +167,22 @@ object KnnKernel {
     Hits(best.map(index.ids), dists, screened)
   }
 
-  /** Bounded max-heap of (float value, row); keeps the `cap` smallest
-    * by (value, row). Rows must be offered in ascending order.
+  /** The `cap` smallest (float value, row) pairs offered, in ascending
+    * (value, row) order, kept by insertion like [[rerank]]'s buffer.
+    * Rows must be offered in ascending order, so an equal value stays
+    * behind the row held first. A NaN value is never ahead of a held
+    * one, and once held it is never dropped, so `certified` sees it.
     */
-  private final class FloatMaxHeap(cap: Int) {
-    private val vals = new Array[Float](cap)
-    private val rows = new Array[Int](cap)
-    private var size = 0
+  private final class FloatBest(cap: Int) {
+    val vals = new Array[Float](cap)
+    val rows = new Array[Int](cap)
+    private var held = 0
 
     def offer(v: Float, row: Int): Unit =
-      if (size < cap) {
-        vals(size) = v; rows(size) = row; siftUp(size); size += 1
-      } else if (v < vals(0)) {
-        vals(0) = v; rows(0) = row; siftDown(0)
+      if (held < cap || v < vals(cap - 1)) {
+        var j = if (held < cap) { held += 1; held - 1 } else cap - 1
+        while (j > 0 && v < vals(j - 1)) { vals(j) = vals(j - 1); rows(j) = rows(j - 1); j -= 1 }
+        vals(j) = v; rows(j) = row
       }
-
-    /** The held (values, rows) in ascending (value, row) order, by an
-      * in-place heap-sort; the heap is empty afterwards. A held NaN value
-      * leaves the order unspecified, and `certified` then fails.
-      */
-    def drain(): (Array[Float], Array[Int]) = {
-      val n = size
-      while (size > 1) { size -= 1; swap(0, size); siftDown(0) }
-      size = 0
-      (java.util.Arrays.copyOf(vals, n), java.util.Arrays.copyOf(rows, n))
-    }
-
-    // (value, row) order: a later row is larger at equal value
-    private def above(a: Int, b: Int): Boolean =
-      vals(a) > vals(b) || (vals(a) == vals(b) && rows(a) > rows(b))
-
-    private def swap(a: Int, b: Int): Unit = {
-      val v = vals(a); vals(a) = vals(b); vals(b) = v
-      val r = rows(a); rows(a) = rows(b); rows(b) = r
-    }
-
-    private def siftUp(i0: Int): Unit = {
-      var i = i0
-      while (i > 0 && above(i, (i - 1) / 2)) { swap(i, (i - 1) / 2); i = (i - 1) / 2 }
-    }
-
-    private def siftDown(i0: Int): Unit = {
-      var i = i0
-      var done = false
-      while (!done) {
-        val l = 2 * i + 1; val r = l + 1
-        var top = i
-        if (l < size && above(l, top)) top = l
-        if (r < size && above(r, top)) top = r
-        if (top == i) done = true else { swap(i, top); i = top }
-      }
-    }
   }
 }

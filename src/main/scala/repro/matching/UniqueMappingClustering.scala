@@ -23,18 +23,7 @@ object UniqueMappingClustering {
     * `smallSize` = |smaller collection| for the early-exit condition.
     */
   def cluster(pairs: Iterable[(Long, Long, Double)], delta: Double,
-              smallSize: Long = Long.MaxValue): Vector[Match] =
-    run(pairs, delta, smallSize)
-
-  /** δ=0 run returning every greedy acceptance with its similarity;
-    * matches at threshold δ are exactly those with sim ≥ δ.
-    */
-  def sweep(pairs: Iterable[(Long, Long, Double)],
-            smallSize: Long = Long.MaxValue): Vector[Match] =
-    run(pairs, 0.0, smallSize)
-
-  private def run(pairs: Iterable[(Long, Long, Double)], delta: Double,
-                  smallSize: Long): Vector[Match] = {
+              smallSize: Long = Long.MaxValue): Vector[Match] = {
     val c = new Columns(pairs)
     val order = c.order
     val m1 = mutable.HashSet.empty[Long]
@@ -53,6 +42,13 @@ object UniqueMappingClustering {
     }
     out.result()
   }
+
+  /** δ=0 run returning every greedy acceptance with its similarity;
+    * matches at threshold δ are exactly those with sim ≥ δ.
+    */
+  def sweep(pairs: Iterable[(Long, Long, Double)],
+            smallSize: Long = Long.MaxValue): Vector[Match] =
+    cluster(pairs, 0.0, smallSize)
 
   /** The pairs as three primitive columns, and their processing order as
     * a permutation sorted by (−sim, id1, id2). The similarity compares

@@ -4,12 +4,7 @@ import repro.util.Det
 
 /** Seeded mini-batch SGD logistic regression with validation-based epoch
   * selection — the classification head shared by the EMTransformer-lite
-  * and DeepMatcher-lite matchers.
-  *
-  * `epochCostUnits` simulates the per-example encoder forward/backward
-  * cost of fine-tuning the underlying language model (layers × dim
-  * multiply-adds on a real weight buffer), so Table 6's training-time
-  * shape emerges from real work, not sleeps.
+  * and DeepMatcher-lite matchers, and DeepBlocker's classifier.
   */
 final case class TrainedModel(weights: Array[Float], bias: Float, chosenEpoch: Int, valF1: Double) {
   def margin(x: Array[Float]): Double = {
@@ -27,21 +22,6 @@ object LogisticTrainer {
   private val Lr = 0.5
   private val L2 = 1e-4
 
-  /** Burn `units` multiply-adds on the buffer (simulated encoder pass).
-    * Coefficients sum below 1 with a constant drive, so the recurrence is
-    * bounded but never at a fixed point for the 0.5-initialized buffer.
-    */
-  def simulatedEncoderWork(buf: Array[Float], units: Long): Unit = {
-    var u = 0L
-    var i = 0
-    while (u < units) {
-      val j = (i + 1) % buf.length
-      buf(i) = buf(i) * 0.999f + buf(j) * 0.0005f + 1e-4f
-      i = j
-      u += 1
-    }
-  }
-
   def f1Of(preds: Seq[Int], labels: Seq[Int]): Double = {
     val tp = preds.zip(labels).count { case (p, y) => p == 1 && y == 1 }
     val fp = preds.zip(labels).count { case (p, y) => p == 1 && y == 0 }
@@ -54,7 +34,7 @@ object LogisticTrainer {
     */
   def train(xTrain: Array[Array[Float]], yTrain: Array[Int],
             xValid: Array[Array[Float]], yValid: Array[Int],
-            epochs: Int = 12, seed: Long = 7L, epochCostUnitsPerExample: Long = 0L): TrainedModel = {
+            epochs: Int, seed: Long): TrainedModel = {
     require(xTrain.nonEmpty, "empty training set")
     val d = xTrain(0).length
     val w = new Array[Float](d)
@@ -66,7 +46,6 @@ object LogisticTrainer {
     val acc  = new Array[Float](d)
     var accB = 0.0f
     val Eps  = 1e-6
-    val encoderBuf = Array.fill(4096)(0.5f)
 
     // class balancing: duplicates are rare
     val nPos = yTrain.count(_ == 1).toDouble
@@ -102,7 +81,6 @@ object LogisticTrainer {
         val gb = g.toFloat
         accB += gb * gb
         b = (b - Lr * gb / math.sqrt(accB + Eps)).toFloat
-        if (epochCostUnitsPerExample > 0) simulatedEncoderWork(encoderBuf, epochCostUnitsPerExample)
         oi += 1
       }
       // validation selection

@@ -33,7 +33,7 @@ object Effectiveness {
       cells.map(c => Seq(c.dataset, c.model, Tab.f(c.rec1), Tab.f(c.rec5), Tab.f(c.rec10),
         Tab.f(c.best.delta, 2), Tab.f(c.best.precision), Tab.f(c.best.recall), Tab.f(c.best.f1)))
 
-    def mean(f: Cell => Double) = models.map(m => m -> cells.filter(_.model == m).map(f).sum / 10).toMap
+    def mean(f: Cell => Double) = models.map(m => m -> cells.filter(_.model == m).map(f).sum / DatasetProfiles.all.size).toMap
     val rec = mean(_.rec10)
     val f1  = mean(_.best.f1)
     Result(Printed(s"Figures 3/8 data (scale=$scale)", rows),

@@ -6,9 +6,8 @@ import repro.core.LocalSpark
 
 /** Base for every test: one [[LocalSpark]] session for the whole run.
   *
-  * Driver heap is set via ``Test / javaOptions`` in build.sbt from
-  * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
-  * limit).
+  * Driver heap is set via ``Test / javaOptions`` in build.sbt: `-Xmx` is
+  * SPARK_DRIVER_MEM when it is set, and 48g when it is not.
   */
 trait SparkSpec extends AnyFunSuite {
   lazy val spark: SparkSession = SparkSpec.shared
@@ -17,8 +16,8 @@ trait SparkSpec extends AnyFunSuite {
 object SparkSpec {
   lazy val shared: SparkSession = {
     val s = LocalSpark.session("repro")
-    // One line in test output that tells the driver whether the cgroup
-    // derivation saw the real limit (README § Spark target).
+    // One line in test output with the driver memory setting, the master
+    // and the parallelism the tests run with.
     Console.err.println(
       s"[SparkSpec] driverMem=${sys.env.getOrElse("SPARK_DRIVER_MEM", "(unset)")} " +
       s"master=${s.sparkContext.master} " +

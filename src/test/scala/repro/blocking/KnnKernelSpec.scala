@@ -81,6 +81,19 @@ class KnnKernelSpec extends AnyFunSuite {
     assertOracle(index, grid(2L, 20, 0L).map(_._2), 12, "grid")
   }
 
+  test("rows ever nearer with id enter the screen's buffer and shift it in full") {
+    // every row is nearer to both queries than all rows before it, so each
+    // offer enters the full buffer at its head, across two tile edges
+    val (n, dim) = (2 * T + 37, 8)
+    val index = (0 until n).map(i => (i.toLong, Array.fill(dim)((n - i) * 0.5f)))
+    val queries = Seq(Array.fill(dim)(0f), Array.fill(dim)(-3f))
+    for (k <- Seq(1, 10, n)) {
+      val hits = assertOracle(index, queries, k, s"k $k")
+      assert(hits.forall(_.screened), s"k $k")
+      assert(hits.head.nids.toSeq == (n - 1 until n - 1 - k by -1).map(_.toLong), s"k $k")
+    }
+  }
+
   test("NaN and infinite components match the oracle, NaN distances last") {
     val dim = 16
     val index = vecs(11L, T + 9, dim, idBase = 0L).zipWithIndex.map { case ((id, v), i) =>

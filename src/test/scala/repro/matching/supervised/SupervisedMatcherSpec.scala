@@ -31,6 +31,13 @@ class SupervisedMatcherSpec extends SparkSpec {
       s"XT=${resXT.trainSecs} RA=${resRA.trainSecs}")
   }
 
+  test("simulatedEncoderWork runs the requested units and mutates the buffer") {
+    val buf = Array.fill(64)(0.5f)
+    val before = buf.toSeq
+    SupervisedMatcher.simulatedEncoderWork(buf, 1000)
+    assert(buf.toSeq != before)
+  }
+
   test("encoder unit costs follow the paper's time ordering") {
     def u(c: String) = SupervisedMatcher.encoderUnits(ModelRegistry(c))
     assert(u("XT") > u("BT"), "XLNet slowest")
