@@ -1,6 +1,6 @@
 package repro.bench
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 import repro.data.DatasetProfiles
 import repro.embed.ModelRegistry
 import repro.tables.Effectiveness
@@ -8,10 +8,10 @@ import repro.tables.Effectiveness
 /** Figures 3/4/8 at REPRO_SCALE: the paper's family-level ordering. Not a
   * numbered table, but these numbers carry the paper's headline claims.
   */
-class EffectivenessBench extends SparkSpec {
+class EffectivenessBench extends AnyFunSuite {
 
   test("Figures 3/4/8: blocking recall and UMC matching per model and dataset") {
-    val report = Effectiveness.run(spark, DatasetProfiles.benchScale)
+    val report = Effectiveness.run(DatasetProfiles.benchScale)
     report.print()
     val rec = report.rec
     val f1  = report.f1

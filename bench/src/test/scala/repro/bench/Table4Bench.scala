@@ -1,7 +1,8 @@
 package repro.bench
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 import repro.data.DatasetProfiles
+import repro.embed.ModelRegistry
 import repro.tables.Table4
 
 /** Table 4, at REPRO_SCALE. Paper shape to reproduce: FastText has by far
@@ -10,9 +11,9 @@ import repro.tables.Table4
   * fastest BERT, XLNet slowest BERT; S-MiniLM fastest SentenceBERT,
   * S-GTR-T5 slowest overall.
   */
-class Table4Bench extends SparkSpec {
+class Table4Bench extends AnyFunSuite {
 
-  private lazy val report = Table4.run(spark, DatasetProfiles.benchScale)
+  private lazy val report = Table4.run(DatasetProfiles.benchScale)
 
   test("Table 4: initialization time per model") {
     report.init.print()
@@ -21,8 +22,9 @@ class Table4Bench extends SparkSpec {
 
     assert(initMs("FT") > initMs("WC"), "FastText init slowest (n-gram dictionary)")
     assert(initMs("WC") > initMs("GE"), "Word2Vec init above GloVe")
-    val bertAvg  = Seq("BT", "AT", "RA", "DT", "XT").map(initMs).sum / 5
-    val sbertAvg = Seq("ST", "S5", "SA", "SM").map(initMs).sum / 4
+    def avg(codes: Seq[String]) = codes.map(initMs).sum / codes.size
+    val bertAvg  = avg(ModelRegistry.bertModels.map(_.code))
+    val sbertAvg = avg(ModelRegistry.sbertModels.map(_.code))
     assert(sbertAvg > bertAvg, "SentenceBERT init above BERT init (larger models)")
   }
 

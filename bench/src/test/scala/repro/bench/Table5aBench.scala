@@ -1,6 +1,6 @@
 package repro.bench
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 import repro.data.DatasetProfiles
 import repro.tables.Table5a
 
@@ -9,10 +9,10 @@ import repro.tables.Table5a
   * at k=10 is higher on the noisy datasets and both are ~perfect on
   * D1/D4.
   */
-class Table5aBench extends SparkSpec {
+class Table5aBench extends AnyFunSuite {
 
   test("Table 5(a): DeepBlocker vs S-GTR-T5 blocking time and recall") {
-    val report = Table5a.run(spark, DatasetProfiles.benchScale)
+    val report = Table5a.run(DatasetProfiles.benchScale)
     report.print()
     val s5Wins = report.s5Wins; val bothHigh = report.bothHigh
 

@@ -1,6 +1,6 @@
 package repro.bench
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 import repro.data.DatasetProfiles
 import repro.tables.Table5b
 
@@ -9,10 +9,10 @@ import repro.tables.Table5b
   * the S-GTR-T5 pipeline finishes every dataset with matching time in
   * milliseconds.
   */
-class Table5bBench extends SparkSpec {
+class Table5bBench extends AnyFunSuite {
 
   test("Table 5(b): ZeroER vs end-to-end S-GTR-T5") {
-    val report = Table5b.run(spark, DatasetProfiles.benchScale)
+    val report = Table5b.run(DatasetProfiles.benchScale)
     report.print()
     val zeroerTimeouts = report.zeroerTimeouts
     val s5NotWorse = report.s5NotWorse

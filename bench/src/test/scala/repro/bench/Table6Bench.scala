@@ -1,6 +1,6 @@
 package repro.bench
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 import repro.data.SupervisedSynth
 import repro.embed.ModelRegistry
 import repro.tables.Table6
@@ -9,10 +9,10 @@ import repro.tables.Table6
   * S-DistilRoBERTa and DistilBERT ≈ half of RoBERTa; dynamic models' F1
   * above the static models'.
   */
-class Table6Bench extends SparkSpec {
+class Table6Bench extends AnyFunSuite {
 
   test("Table 6: supervised matching times and F1") {
-    val report = Table6.run(spark)
+    val report = Table6.run()
     report.print()
     val models = ModelRegistry.supervisedModels
     val tTot  = report.trainSecs

@@ -1,10 +1,10 @@
 package repro.baselines
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 import repro.blocking.ExactKnnBlocker
 import repro.core.LocalSpark
 import repro.data.EntityRow
-import repro.embed.{Tokenizer, Vectorizer}
+import repro.embed.{ModelRegistry, Tokenizer, Vectorizer}
 import repro.matching.supervised.{LogisticTrainer, PairFeatures}
 import repro.util.Det
 
@@ -21,7 +21,8 @@ import repro.util.Det
 object DeepBlocker {
 
   val EncDim = 128
-  private val FtDim  = 300
+  private val Ft     = ModelRegistry.FT // DeepBlocker's embedding model
+  private val FtDim  = Ft.dim
   private val AeLr   = 0.02f // the auto-encoder's SGD step
   private val DropoutRate = 0.3 // share of tokens a self-supervised positive drops
 
@@ -104,14 +105,13 @@ object DeepBlocker {
     * Both sides are sorted by id first, so the training samples, and with
     * them the candidates, do not depend on the order of either input.
     */
-  def block(spark: SparkSession, queries: Array[EntityRow], index: Array[EntityRow], k: Int, tag: String,
-            seed: Long = 17L): Blocked = {
-    val sc = spark.sparkContext
+  def block(queries: Array[EntityRow], index: Array[EntityRow], k: Int, tag: String, seed: Long = 17L): Blocked = {
+    LocalSpark.session // a first fan-out's engine start is not DeepBlocker's time
     val t0 = System.nanoTime()
     val (qs, is) = (queries.sortBy(_.id), index.sortBy(_.id))
 
     // 1. FastText vectorization (DeepBlocker's default embedding)
-    val Seq(qv, iv) = Vectorizer.vectorize(sc, "FT", Seq(qs -> (tag + "#dbq"), is -> (tag + "#dbi")))
+    val Seq(qv, iv) = Vectorizer.vectorize(Ft.code, Seq(qs -> (tag + "#dbq"), is -> (tag + "#dbi")))
 
     // 2. Auto-Encoder trained on an index sample (stochastic via seed)
     val w = trainAutoEncoder(iv.take(1500).map(_._2), seed)
@@ -121,9 +121,9 @@ object DeepBlocker {
     //    dropout) and negatives (random pairs within the sample, so each
     //    negative is another sample's anchor, embedded once)
     val selfSample = is.take(600)
-    val anchors = selfSample.map(e => encode(w, Vectorizer.embed("FT", e.sentence, Det.seed(seed, 3L, e.id))))
+    val anchors = selfSample.map(e => encode(w, Vectorizer.embed(Ft.code, e.sentence, Det.seed(seed, 3L, e.id))))
     val feats = selfSample.zip(anchors).flatMap { case (e, v) =>
-      val vp = encode(w, Vectorizer.embed("FT", dropout(e.sentence, Det.seed(seed, 4L, e.id)), Det.seed(seed, 5L, e.id)))
+      val vp = encode(w, Vectorizer.embed(Ft.code, dropout(e.sentence, Det.seed(seed, 4L, e.id)), Det.seed(seed, 5L, e.id)))
       val j  = Det.nextInt(Det.seed(seed, 6L, e.id), selfSample.length)
       Seq((PairFeatures.features(v, vp), 1),
           (PairFeatures.features(v, anchors(j)), if (selfSample(j).id == e.id) 1 else 0))
@@ -136,9 +136,9 @@ object DeepBlocker {
     //    classifier (full encoder pass per candidate — the k-dependent
     //    cost) and keep the k best per query by (score desc, nid asc)
     val overK = math.max(2 * k, k + 2)
-    val cands = ExactKnnBlocker.search(spark, encoded(qv), encoded(iv), overK).groupBy(_._1)
+    val cands = ExactKnnBlocker.search(encoded(qv), encoded(iv), overK).groupBy(_._1)
     val queryCands = qv.flatMap { case (qid, v) => cands.get(qid).map(rows => (qid, v, rows.map(_._2))) }
-    val top = LocalSpark.fanOut(sc, (w, iv.map(_._1), iv.map(_._2)), queryCands) { case ((w, ids, vecs), slice) =>
+    val top = LocalSpark.fanOut((w, iv.map(_._1), iv.map(_._2)), queryCands) { case ((w, ids, vecs), slice) =>
       slice.flatMap { case (qid, v, nids) =>
         val scored = nids.map { nid =>
           val f = PairFeatures.features(encode(w, v), encode(w, vecs(java.util.Arrays.binarySearch(ids, nid))))
@@ -160,7 +160,7 @@ object DeepBlocker {
   def block(queries: DataFrame, index: DataFrame, k: Int, tag: String, seed: Long): BlockedFrame = {
     import queries.sparkSession.implicits._
     def rows(side: DataFrame) = side.select("id", "attrs", "sentence").as[EntityRow].collect()
-    val b = block(queries.sparkSession, rows(queries), rows(index), k, tag, seed)
+    val b = block(rows(queries), rows(index), k, tag, seed)
     BlockedFrame(b.candidates.toSeq.toDF("id1", "id2"), b.secs)
   }
 }

@@ -1,6 +1,6 @@
 package repro.blocking
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 import repro.core.LocalSpark
 
 /** Exact nearest-neighbour blocking for Clean-Clean ER (paper §4.3):
@@ -16,17 +16,17 @@ import repro.core.LocalSpark
   * of cores. See [[KnnKernel]] for the float screen, its error bound and
   * the exact double re-rank that makes the result the exact k-NN.
   */
-object ExactKnnBlocker extends Serializable {
+object ExactKnnBlocker {
 
   /** (qid, nid, dist, rank) of the min(k, |index|) nearest index rows per
     * query, queries in input order: `dist` is `Det.l2`, ranks 1.. follow
     * (dist, nid).
     */
-  def search(spark: SparkSession, queries: Array[(Long, Array[Float])], index: Array[(Long, Array[Float])],
+  def search(queries: Array[(Long, Array[Float])], index: Array[(Long, Array[Float])],
              k: Int): Array[(Long, Long, Double, Int)] = {
     check(queries, index, k)
     if (queries.isEmpty || index.isEmpty) Array.empty
-    else LocalSpark.fanOut(spark.sparkContext, KnnKernel.Index(index), queries)(answer(k)).flatMap((rows _).tupled)
+    else LocalSpark.fanOut(KnnKernel.Index(index), queries)(answer(k)).flatMap((rows _).tupled)
   }
 
   /** [[search]] on two (id, vec) frames, as a (qid, nid, dist, rank) frame
@@ -45,7 +45,7 @@ object ExactKnnBlocker extends Serializable {
       if (q.isEmpty || i.isEmpty) sc.emptyRDD[(Array[Long], Array[KnnKernel.Hits])]
       else {
         val bIndex = sc.broadcast(KnnKernel.Index(i))
-        LocalSpark.slices(sc, q).mapPartitions(it => Iterator(answer(k)(bIndex.value, it.toArray)))
+        LocalSpark.slices(q).mapPartitions(it => Iterator(answer(k)(bIndex.value, it.toArray)))
       }
     hits.flatMap((rows _).tupled).toDF("qid", "nid", "dist", "rank")
   }

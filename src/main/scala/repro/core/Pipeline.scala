@@ -1,6 +1,5 @@
 package repro.core
 
-import org.apache.spark.sql.SparkSession
 import repro.blocking.ExactKnnBlocker
 import repro.data.{CleanProfile, ERSynth, EntityRow}
 import repro.embed.Vectorizer
@@ -23,11 +22,9 @@ object Pipeline {
   def sim(dist: Double): Double = 1.0 / (1.0 + dist)
 
   /** A dataset's two sources as driver arrays in id order, and its ground
-    * truth: rendered once and shared by every model and baseline run on it,
-    * whose fan-outs run on `spark`.
+    * truth: rendered once and shared by every model and baseline run on it.
     */
-  final case class Sources(spark: SparkSession, profile: CleanProfile,
-                           e1: Array[EntityRow], e2: Array[EntityRow], gt: Set[(Long, Long)]) {
+  final case class Sources(profile: CleanProfile, e1: Array[EntityRow], e2: Array[EntityRow], gt: Set[(Long, Long)]) {
     def side1Smaller: Boolean = profile.v1 <= profile.v2
 
     /** The query (smaller) side and the index side, in that order. */
@@ -40,8 +37,8 @@ object Pipeline {
   /** Render `p`'s sources; its ground truth pairs id i of side 1 with id
     * i of side 2 for every i below `dups`.
     */
-  def sources(spark: SparkSession, p: CleanProfile): Sources =
-    Sources(spark, p, ERSynth.entities(p, 1), ERSynth.entities(p, 2), (0L until p.dups).map(i => (i, i)).toSet)
+  def sources(p: CleanProfile): Sources =
+    Sources(p, ERSynth.entities(p, 1), ERSynth.entities(p, 2), (0L until p.dups).map(i => (i, i)).toSet)
 
   /** Both sides' (id, vec) rows and the seconds the transform took (model
     * Init excluded: Table 4 reports it apart).
@@ -49,12 +46,14 @@ object Pipeline {
   final case class Vectors(v1: Array[(Long, Array[Float])], v2: Array[(Long, Array[Float])], secs: Double)
 
   /** Vectorize both sides in one fan-out, with noise tags "<name>#1" /
-    * "<name>#2": exact k-NN runs on the driver arrays.
+    * "<name>#2": exact k-NN runs on the driver arrays. The model's Init and
+    * the start of the fan-outs' engine, if this is the first, are not timed.
     */
   def vectorize(src: Sources, model: String): Vectors = {
     Vectorizer.runtime(model)
+    LocalSpark.session
     val t0 = System.nanoTime()
-    val Seq(v1, v2) = Vectorizer.vectorize(src.spark.sparkContext, model,
+    val Seq(v1, v2) = Vectorizer.vectorize(model,
       Seq(src.e1 -> s"${src.profile.name}#1", src.e2 -> s"${src.profile.name}#2"))
     Vectors(v1, v2, (System.nanoTime() - t0) / 1e9)
   }
@@ -111,7 +110,7 @@ object Pipeline {
     val v = vectorize(src, model)
     val (queries, index) = src.querySides(v.v1, v.v2)
     val t0 = System.nanoTime()
-    val nb = ExactKnnBlocker.search(src.spark, queries, index, k)
+    val nb = ExactKnnBlocker.search(queries, index, k)
     Run(src, v.secs, (System.nanoTime() - t0) / 1e9, nb)
   }
 }

@@ -19,7 +19,7 @@ final case class EntityRow(id: Long, attrs: Seq[String], sentence: String)
   * Everything is a pure function of (profile, id), so both sources, the
   * ground truth, and the DuckDB oracle all see identical data.
   */
-object ERSynth extends Serializable {
+object ERSynth {
 
   private val ExtraBase = 10_000_000L
 

@@ -12,7 +12,7 @@ import repro.util.Det
   * surface forms of the same meaning to nearby vectors; the simulated
   * models consult [[canonical]] with a per-model probability (`knowP`).
   */
-object Lexicon extends Serializable {
+object Lexicon {
 
   /** Number of non-base surface variants per meaning. */
   val Variants = 3

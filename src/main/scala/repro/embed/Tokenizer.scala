@@ -8,7 +8,7 @@ import scala.collection.mutable.ArrayBuffer
   * variant marker is part of the token, as a subword would be) and
   * lower-cases. Pure and allocation-light: used inside Spark map tasks.
   */
-object Tokenizer extends Serializable {
+object Tokenizer {
 
   def tokenize(s: String): Array[String] = {
     val out = new ArrayBuffer[String](16)

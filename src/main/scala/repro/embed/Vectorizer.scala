@@ -1,7 +1,6 @@
 package repro.embed
 
 import java.util.concurrent.ConcurrentHashMap
-import org.apache.spark.SparkContext
 import org.apache.spark.sql.DataFrame
 import repro.core.LocalSpark
 import repro.data.{EntityRow, Lexicon}
@@ -75,7 +74,7 @@ final class ModelRuntime(val spec: ModelSpec) {
 }
 
 /** Vectorization: entity sentence → dense embedding (DESIGN.md §4). */
-object Vectorizer extends Serializable {
+object Vectorizer {
 
   private val runtimes = new ConcurrentHashMap[String, ModelRuntime]()
 
@@ -240,10 +239,9 @@ object Vectorizer extends Serializable {
     * (id, vec) rows, in its order. A tag names one (dataset, source), so
     * per-entity noise is independent across sources.
     */
-  def vectorize(sc: SparkContext, modelCode: String,
-                sides: Seq[(Array[EntityRow], String)]): Seq[Array[(Long, Array[Float])]] = {
+  def vectorize(modelCode: String, sides: Seq[(Array[EntityRow], String)]): Seq[Array[(Long, Array[Float])]] = {
     val rows = sides.flatMap { case (es, tag) => val h = Det.strHash(tag); es.map(e => (e.id, e.sentence, noiseSeed(h, e.id))) }
-    val vecs = LocalSpark.fanOut(sc, rows.toArray) { case (id, s, seed) => (id, embed(modelCode, s, seed)) }
+    val vecs = LocalSpark.fanOut(rows.toArray) { case (id, s, seed) => (id, embed(modelCode, s, seed)) }
     val ends = sides.scanLeft(0)(_ + _._1.length)
     ends.zip(ends.tail).map { case (a, b) => vecs.slice(a, b) }
   }

@@ -1,6 +1,5 @@
 package repro.matching.supervised
 
-import org.apache.spark.sql.SparkSession
 import repro.core.LocalSpark
 import repro.data.Pairs
 import repro.embed.{ModelSpec, Vectorizer}
@@ -53,17 +52,18 @@ object SupervisedMatcher {
   private val Seed = 7L
 
   /** Featurizes, trains and tests `model` on one DSM's rendered pairs. */
-  def run(spark: SparkSession, pairs: Pairs, model: ModelSpec): Result = {
+  def run(pairs: Pairs, model: ModelSpec): Result = {
     val code = model.code
     val nameHash = Det.strHash(pairs.profile.name)
     // Fine-tuning adapts the dynamic encoders to the task, suppressing part
     // of their representation noise; static embeddings are frozen.
     val sigmaScale = if (model.isStatic) 1.0 else 0.4
 
+    LocalSpark.session // a first fan-out's engine start is not the model's t_t
     val t0 = System.nanoTime()
     // featurize in tasks: embed both sentences, build pair features; the
     // splits come back in order, one after the other
-    val feats = LocalSpark.fanOut(spark.sparkContext, pairs.all) { r =>
+    val feats = LocalSpark.fanOut(pairs.all) { r =>
       val v1 = Vectorizer.embed(code, r.sent1, Det.seed(nameHash, 1L, r.pairId), sigmaScale)
       val v2 = Vectorizer.embed(code, r.sent2, Det.seed(nameHash, 2L, r.pairId), sigmaScale)
       (PairFeatures.features(v1, v2), r.label)

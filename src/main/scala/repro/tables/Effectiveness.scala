@@ -1,6 +1,5 @@
 package repro.tables
 
-import org.apache.spark.sql.SparkSession
 import repro.core.{Pipeline, Tab}
 import repro.data.DatasetProfiles
 import repro.embed.ModelRegistry
@@ -20,10 +19,10 @@ object Effectiveness {
                           rec: Map[String, Double], f1: Map[String, Double])
     extends Report(matrix, averages)
 
-  def run(spark: SparkSession, scale: Double): Result = {
+  def run(scale: Double): Result = {
     val models = ModelRegistry.all.map(_.code)
     val cells = DatasetProfiles.all.flatMap { p0 =>
-      val src = Pipeline.sources(spark, p0.scaled(scale))
+      val src = Pipeline.sources(p0.scaled(scale))
       models.map { c =>
         val r = Pipeline.run(src, c, 64)
         Cell(p0.name, c, r.recallAt(1), r.recallAt(5), r.recallAt(10), r.umcBest())

@@ -1,6 +1,5 @@
 package repro.tables
 
-import org.apache.spark.sql.SparkSession
 import repro.core.{Pipeline, Tab}
 import repro.data.DatasetProfiles
 import repro.embed.{Family, ModelRegistry, ModelRuntime}
@@ -23,7 +22,7 @@ object Table4 {
                           fresh: Seq[ModelRuntime], total: Map[String, Double])
     extends Report(init, transform)
 
-  def run(spark: SparkSession, scale: Double): Result = {
+  def run(scale: Double): Result = {
     val specs = ModelRegistry.all
     val models = specs.map(_.code)
     // rounds over all models, so that a slow spell of the host spreads
@@ -37,7 +36,7 @@ object Table4 {
     def avg(f: Family) = { val ms = specs.indices.filter(specs(_).family == f).map(initMs); ms.sum / ms.size }
     val margin = avg(Family.Sbert) - avg(Family.Bert)
     val secs = DatasetProfiles.all.map { p0 =>
-      val src = Pipeline.sources(spark, p0.scaled(scale))
+      val src = Pipeline.sources(p0.scaled(scale))
       p0.name -> models.map(Pipeline.vectorize(src, _).secs)
     }
     val total = models.indices.map(j => secs.map(_._2(j)).sum)

@@ -1,6 +1,5 @@
 package repro.tables
 
-import org.apache.spark.sql.SparkSession
 import repro.baselines.DeepBlocker
 import repro.core.{Pipeline, Tab}
 import repro.data.DatasetProfiles
@@ -20,12 +19,12 @@ object Table5a {
   final case class Result(table: Printed, s5Wins: Int, bothHigh: Int, s5Rec10: Map[String, Double])
     extends Report(table)
 
-  def run(spark: SparkSession, scale: Double): Result = {
+  def run(scale: Double): Result = {
     val ks = Seq(1, 5, 10)
     val perDataset = DatasetProfiles.all.map { p0 =>
-      val src = Pipeline.sources(spark, p0.scaled(scale))
+      val src = Pipeline.sources(p0.scaled(scale))
       val (q, i) = src.querySides(src.e1, src.e2)
-      val db = ks.map(k => DeepBlocker.block(spark, q, i, k, tag = s"t5a-${p0.name}-$k"))
+      val db = ks.map(k => DeepBlocker.block(q, i, k, tag = s"t5a-${p0.name}-$k"))
       val dbRec10 = MatchMetrics.prf(db.last.candidates.map((src.canonical _).tupled).toSet, src.gt)._2
       val s5 = ks.map(k => Pipeline.run(src, "S5", k))
       (p0.name, db.map(_.secs), s5.map(r => r.vecSecs + r.blockSecs), dbRec10, s5.last.recallAt(10))

@@ -1,6 +1,5 @@
 package repro.tables
 
-import org.apache.spark.sql.SparkSession
 import repro.baselines.ZeroER
 import repro.core.{Pipeline, Tab}
 import repro.data.DatasetProfiles
@@ -20,13 +19,13 @@ object Table5b {
                           s5F1: Map[String, Double]) extends Report(table) {
     override def print(): Unit = {
       super.print()
-      println(s"ZeroER did not terminate on $zeroerTimeouts/10 datasets (paper: 5/10)")
+      println(s"ZeroER did not terminate on $zeroerTimeouts/${DatasetProfiles.all.size} datasets (paper: 5/10)")
     }
   }
 
-  def run(spark: SparkSession, scale: Double): Result = {
+  def run(scale: Double): Result = {
     val perDataset = DatasetProfiles.all.map { p0 =>
-      val src = Pipeline.sources(spark, p0.scaled(scale))
+      val src = Pipeline.sources(p0.scaled(scale))
       val ze = ZeroER.run(src.e1, src.e2, src.gt)
       val s5 = Pipeline.run(src, "S5", 10)
       (p0.name, ze, s5.vecSecs + s5.blockSecs, s5.umcAt(0.5))

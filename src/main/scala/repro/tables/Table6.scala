@@ -1,6 +1,5 @@
 package repro.tables
 
-import org.apache.spark.sql.SparkSession
 import repro.core.Tab
 import repro.data.SupervisedSynth
 import repro.embed.ModelRegistry
@@ -16,10 +15,10 @@ object Table6 {
   final case class Result(table: Printed, trainSecs: Map[String, Double], f1: Map[String, Double])
     extends Report(table)
 
-  def run(spark: SparkSession): Result = {
+  def run(): Result = {
     val byDsm = SupervisedSynth.all.map { p =>
       val pairs = SupervisedSynth.pairs(p)
-      ModelRegistry.supervisedModels.map(SupervisedMatcher.run(spark, pairs, _))
+      ModelRegistry.supervisedModels.map(SupervisedMatcher.run(pairs, _))
     }
     val runs = ModelRegistry.supervisedModels.map(_.code).zip(byDsm.transpose)
     val rows = Seq("model" +: SupervisedSynth.all.flatMap(p => Seq(s"${p.name} t_t", "t_e", "F1"))) ++

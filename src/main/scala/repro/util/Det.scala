@@ -7,7 +7,7 @@ package repro.util
   * seeds, so every generator is a pure function of its arguments and the
   * same dataset / embedding is produced on every run and every executor.
   */
-object Det extends Serializable {
+object Det {
 
   /** splitmix64 finalizer — high-quality 64-bit mix. */
   def mix(z0: Long): Long = {

@@ -50,8 +50,8 @@ class DeepBlockerSpec extends SparkSpec {
   }
 
   test("block produces k candidates per query with decent recall on easy data") {
-    val src = Pipeline.sources(spark, DatasetProfiles("D4").scaled(0.05))
-    val res = DeepBlocker.block(spark, src.e2, src.e1, k = 5, tag = "dbtest") // smaller side queries
+    val src = Pipeline.sources(DatasetProfiles("D4").scaled(0.05))
+    val res = DeepBlocker.block(src.e2, src.e1, k = 5, tag = "dbtest") // smaller side queries
     val perQuery = res.candidates.groupBy(_._1).values.map(_.length)
     assert(perQuery.forall(_ <= 5))
     // gt is (side1, side2); candidates are (query=side2, side1) here
@@ -61,10 +61,10 @@ class DeepBlockerSpec extends SparkSpec {
     assert(res.secs > 0)
   }
 
-  private lazy val d1 = Pipeline.sources(spark, DatasetProfiles("D1").scaled(0.2))
+  private lazy val d1 = Pipeline.sources(DatasetProfiles("D1").scaled(0.2))
 
   test("block is stochastic across seeds but stable per seed") {
-    def run(seed: Long) = DeepBlocker.block(spark, d1.e1, d1.e2, k = 2, tag = "dbseed", seed = seed).candidates.toSet
+    def run(seed: Long) = DeepBlocker.block(d1.e1, d1.e2, k = 2, tag = "dbseed", seed = seed).candidates.toSet
     val a = run(17L); val b = run(17L); val c = run(99L)
     assert(a == b, "same seed must reproduce")
     assert(a != c, "different seeds should differ somewhere")
@@ -72,7 +72,7 @@ class DeepBlockerSpec extends SparkSpec {
 
   test("block does not depend on the order of either input") {
     def run(q: Array[EntityRow], i: Array[EntityRow]) =
-      DeepBlocker.block(spark, q, i, k = 2, tag = "dborder").candidates.toSet
+      DeepBlocker.block(q, i, k = 2, tag = "dborder").candidates.toSet
     val want = run(d1.e1, d1.e2)
     val shuffle = new scala.util.Random(3)
     assert(run(d1.e1.reverse, d1.e2.reverse) == want)
@@ -82,8 +82,8 @@ class DeepBlockerSpec extends SparkSpec {
   test("the DataFrame form returns exactly what the array form returns (D4 x0.05)") {
     import spark.implicits._
     val p = DatasetProfiles("D4").scaled(0.05)
-    val src = Pipeline.sources(spark, p)
-    val arrays = DeepBlocker.block(spark, src.e2, src.e1, 5, "dbadapter", 17L).candidates
+    val src = Pipeline.sources(p)
+    val arrays = DeepBlocker.block(src.e2, src.e1, 5, "dbadapter", 17L).candidates
     val frame = DeepBlocker.block(ERSynth.source(spark, p, 2), ERSynth.source(spark, p, 1), 5, "dbadapter", 17L)
     assert(frame.candidates.columns.toSeq == Seq("id1", "id2"))
     assert(frame.candidates.as[(Long, Long)].collect().sameElements(arrays))

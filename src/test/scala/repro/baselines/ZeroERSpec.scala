@@ -8,7 +8,7 @@ import repro.data.{CleanProfile, DatasetProfiles, ERSynth, EntityRow}
 class ZeroERSpec extends SparkSpec with PropSupport {
 
   private def run(p: CleanProfile, budgetSecs: Double): Option[ZeroER.Result] = {
-    val src = Pipeline.sources(spark, p)
+    val src = Pipeline.sources(p)
     ZeroER.run(src.e1, src.e2, src.gt, budgetSecs = budgetSecs)
   }
 
@@ -50,7 +50,7 @@ class ZeroERSpec extends SparkSpec with PropSupport {
   }
 
   test("overlap blocking finds duplicate pairs as candidates") {
-    val src = Pipeline.sources(spark, DatasetProfiles("D4").scaled(0.03))
+    val src = Pipeline.sources(DatasetProfiles("D4").scaled(0.03))
     val cands = ZeroER.overlapBlocking(src.e1, src.e2).toSet
     val rec = src.gt.count(cands.contains).toDouble / src.gt.size
     assert(rec > 0.7, s"overlap blocking recall $rec")
@@ -95,7 +95,7 @@ class ZeroERSpec extends SparkSpec with PropSupport {
   // D4: clean titles; D1: missing and misplaced values; D3: long text with frequent tokens
   for ((ds, scale) <- Seq(("D4", 0.03), ("D1", 0.05), ("D3", 0.02))) {
     test(s"overlap blocking equals the Spark SQL reference on $ds x$scale, also at cap 3 and on permuted inputs") {
-      val src = Pipeline.sources(spark, DatasetProfiles(ds).scaled(scale))
+      val src = Pipeline.sources(DatasetProfiles(ds).scaled(scale))
       val (e1, e2) = (src.e1, src.e2)
       val shuffle = new scala.util.Random(7)
       for (cap <- Seq(500, 3)) {

@@ -38,7 +38,7 @@ class ExactKnnBlockerSpec extends SparkSpec {
   }
 
   test("k must be positive") {
-    intercept[IllegalArgumentException](ExactKnnBlocker.search(spark, queries.toArray, index.toArray, 0))
+    intercept[IllegalArgumentException](ExactKnnBlocker.search(queries.toArray, index.toArray, 0))
   }
 
   test("agrees with brute force on random vectors") {
@@ -46,7 +46,7 @@ class ExactKnnBlockerSpec extends SparkSpec {
     val ri = (0L until 40L).map(i => (100L + i) -> Det.uniformVec(Det.seed(2L, i), 24))
     val k = 5
     import spark.implicits._
-    val got = ExactKnnBlocker.search(spark, rq.toArray, ri.toArray, k).sorted.toSeq
+    val got = ExactKnnBlocker.search(rq.toArray, ri.toArray, k).sorted.toSeq
     val adapted = ExactKnnBlocker.topK(vecDf(rq), vecDf(ri), k)
       .as[(Long, Long, Double, Int)].collect().sorted.toSeq
     assert(got == BruteForceKnn.topK(rq, ri, k).sorted)
@@ -65,7 +65,7 @@ class ExactKnnBlockerSpec extends SparkSpec {
   test("a tie at the k-th place keeps the smallest nid, whatever the arrival order") {
     val q = Array(0L -> Array(0f))
     val i = Array(5L -> Array(1f), 3L -> Array(1f), 9L -> Array(1f))
-    Seq(i, i.reverse).foreach(is => assert(ExactKnnBlocker.search(spark, q, is, 1).map(_._2).toSeq == Seq(3L)))
+    Seq(i, i.reverse).foreach(is => assert(ExactKnnBlocker.search(q, is, 1).map(_._2).toSeq == Seq(3L)))
   }
 
   test("output does not depend on how either side is partitioned or ordered") {
@@ -78,7 +78,7 @@ class ExactKnnBlockerSpec extends SparkSpec {
     def rows(qs: org.apache.spark.sql.DataFrame, is: org.apache.spark.sql.DataFrame) =
       ExactKnnBlocker.topK(qs, is, 7).as[(Long, Long, Double, Int)].collect().sorted.toSeq
     def searched(qs: Seq[(Long, Array[Float])], is: Seq[(Long, Array[Float])]) =
-      ExactKnnBlocker.search(spark, qs.toArray, is.toArray, 7).sorted.toSeq
+      ExactKnnBlocker.search(qs.toArray, is.toArray, 7).sorted.toSeq
     val want = BruteForceKnn.topK(rq, ri, 7).sorted
     val shuffled = new scala.util.Random(5).shuffle(ri)
     Seq(
@@ -93,8 +93,8 @@ class ExactKnnBlockerSpec extends SparkSpec {
   }
 
   test("an empty side gives an empty frame with the four columns") {
-    assert(ExactKnnBlocker.search(spark, Array.empty, index.toArray, 3).isEmpty)
-    assert(ExactKnnBlocker.search(spark, queries.toArray, Array.empty, 3).isEmpty)
+    assert(ExactKnnBlocker.search(Array.empty, index.toArray, 3).isEmpty)
+    assert(ExactKnnBlocker.search(queries.toArray, Array.empty, 3).isEmpty)
     val empty = vecDf(Seq.empty)
     Seq(ExactKnnBlocker.topK(empty, vecDf(index), 3), ExactKnnBlocker.topK(vecDf(queries), empty, 3))
       .foreach { top =>
@@ -105,7 +105,7 @@ class ExactKnnBlockerSpec extends SparkSpec {
 
   test("a dimension mismatch between the sides fails on the driver") {
     val e = intercept[IllegalArgumentException](
-      ExactKnnBlocker.search(spark, queries.toArray, Array(7L -> Array(1f, 2f, 3f)), 1))
+      ExactKnnBlocker.search(queries.toArray, Array(7L -> Array(1f, 2f, 3f)), 1))
     assert(e.getMessage.contains("dimension"))
   }
 

@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 import repro.data.DatasetProfiles
 import repro.embed.ModelRegistry
 
@@ -8,10 +8,10 @@ import repro.embed.ModelRegistry
   * on unsupervised tasks SentenceBERT > static > BERT-family, DistilBERT
   * is the best BERT model, and AlBERT/XLNet collapse.
   */
-class FamilyOrderingSpec extends SparkSpec {
+class FamilyOrderingSpec extends AnyFunSuite {
 
   private lazy val runs: Map[String, Pipeline.Run] = {
-    val src = Pipeline.sources(spark, DatasetProfiles("D10").scaled(0.03))
+    val src = Pipeline.sources(DatasetProfiles("D10").scaled(0.03))
     ModelRegistry.all.map(m => m.code -> Pipeline.run(src, m.code, 10)).toMap
   }
 

@@ -6,7 +6,7 @@ import repro.data.{DatasetProfiles, ERSynth}
 class PipelineSpec extends SparkSpec {
 
   private def run(ds: String, scale: Double, model: String, k: Int): Pipeline.Run =
-    Pipeline.run(Pipeline.sources(spark, DatasetProfiles(ds).scaled(scale)), model, k)
+    Pipeline.run(Pipeline.sources(DatasetProfiles(ds).scaled(scale)), model, k)
 
   private lazy val d5 = run("D5", 0.02, "S5", 16)
 
@@ -77,7 +77,7 @@ class PipelineSpec extends SparkSpec {
   }
 
   test("vectorization time is measured positive") {
-    val secs = Pipeline.vectorize(Pipeline.sources(spark, DatasetProfiles("D1").scaled(0.1)), "GE").secs
+    val secs = Pipeline.vectorize(Pipeline.sources(DatasetProfiles("D1").scaled(0.1)), "GE").secs
     assert(secs > 0)
   }
 
@@ -102,7 +102,7 @@ class PipelineSpec extends SparkSpec {
 
   /** A run of hand-made neighbours on D1, whose side 1 is the query side. */
   private def handRun(gt: Set[(Long, Long)], neighbours: (Long, Long, Double, Int)*): Pipeline.Run =
-    Pipeline.Run(Pipeline.Sources(spark, DatasetProfiles("D1"), Array.empty, Array.empty, gt), 0.0, 0.0,
+    Pipeline.Run(Pipeline.Sources(DatasetProfiles("D1"), Array.empty, Array.empty, gt), 0.0, 0.0,
       neighbours.toArray)
 
   test("recall on exact candidates") {

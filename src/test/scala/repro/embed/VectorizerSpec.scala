@@ -130,7 +130,7 @@ class VectorizerSpec extends SparkSpec {
     val viaSpark = Vectorizer.vectorize(df, "GE", "tag").as[(Long, Array[Float])].collect().head._2
     val direct   = Vectorizer.embed("GE", "vala beta gomo", Det.seed(Det.strHash("tag"), 7L))
     assert(viaSpark.toSeq == direct.toSeq)
-    val Seq(viaArrays, other) = Vectorizer.vectorize(spark.sparkContext, "GE",
+    val Seq(viaArrays, other) = Vectorizer.vectorize("GE",
       Seq(Array(EntityRow(7L, Seq("vala beta gomo"), "vala beta gomo")) -> "tag",
           Array(EntityRow(7L, Nil, "vala"), EntityRow(8L, Nil, "beta")) -> "other"))
     assert(viaArrays.map(_._1).toSeq == Seq(7L) && viaArrays.head._2.toSeq == direct.toSeq)

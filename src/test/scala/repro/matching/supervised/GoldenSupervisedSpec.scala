@@ -1,8 +1,7 @@
 package repro.matching.supervised
 
 import scala.io.Source
-import org.apache.spark.sql.SparkSession
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 import repro.data.SupervisedSynth
 import repro.embed.ModelRegistry
 
@@ -15,12 +14,12 @@ import repro.embed.ModelRegistry
   * core count nor on partitioning; any difference is silent drift in the
   * train order, the features or the epoch selection.
   */
-class GoldenSupervisedSpec extends SparkSpec {
+class GoldenSupervisedSpec extends AnyFunSuite {
 
   test("supervised F1 and chosen epochs match the checked-in snapshot exactly") {
     val src = Source.fromResource("golden/supervised.tsv")
     val expected = try src.getLines().filterNot(_.startsWith("#")).toVector finally src.close()
-    val actual = GoldenSupervisedSpec.lines(spark).filterNot(_.startsWith("#"))
+    val actual = GoldenSupervisedSpec.lines.filterNot(_.startsWith("#"))
     val diff = expected.zipAll(actual, "<missing>", "<missing>").filter { case (e, a) => e != a }
     assert(diff.isEmpty,
       diff.map { case (e, a) => s"expected $e\n  actual $a" }.mkString(s"${diff.size} rows differ:\n", "\n", ""))
@@ -29,11 +28,11 @@ class GoldenSupervisedSpec extends SparkSpec {
 
 object GoldenSupervisedSpec {
   /** A header line, then one `model\tds\tF1\tchosenEpoch` line per model. */
-  def lines(spark: SparkSession): Vector[String] = {
+  def lines: Vector[String] = {
     val dsm2 = SupervisedSynth.pairs(SupervisedSynth.DSM2)
     "# model\tds\tF1\tchosenEpoch   (SupervisedMatcher.run on DSM2, Double.toString)" +:
       ModelRegistry.supervisedModels.toVector.map { m =>
-        val r = SupervisedMatcher.run(spark, dsm2, m)
+        val r = SupervisedMatcher.run(dsm2, m)
         Seq(r.modelCode, r.dataset, r.f1, r.chosenEpoch).mkString("\t")
       }
   }

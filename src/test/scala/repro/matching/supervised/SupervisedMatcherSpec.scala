@@ -1,17 +1,17 @@
 package repro.matching.supervised
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 import repro.data.SupervisedSynth
 import repro.embed.ModelRegistry
 
-class SupervisedMatcherSpec extends SparkSpec {
+class SupervisedMatcherSpec extends AnyFunSuite {
 
   // DSM2 rendered once. One untimed run first, so that neither timed
   // result alone pays the JIT's warm-up of the supervised path.
   private lazy val dsm2 = SupervisedSynth.pairs(SupervisedSynth.DSM2)
-  private lazy val warmUp: Unit = SupervisedMatcher.run(spark, dsm2, ModelRegistry("RA"))
-  private lazy val resRA = { warmUp; SupervisedMatcher.run(spark, dsm2, ModelRegistry("RA")) }
-  private lazy val resXT = { warmUp; SupervisedMatcher.run(spark, dsm2, ModelRegistry("XT")) }
+  private lazy val warmUp: Unit = SupervisedMatcher.run(dsm2, ModelRegistry("RA"))
+  private lazy val resRA = { warmUp; SupervisedMatcher.run(dsm2, ModelRegistry("RA")) }
+  private lazy val resXT = { warmUp; SupervisedMatcher.run(dsm2, ModelRegistry("XT")) }
 
   test("fine-tuned RoBERTa reaches useful F1 on DSM2") {
     assert(resRA.f1 > 0.6, s"F1 ${resRA.f1}")

@@ -1,7 +1,7 @@
 package repro.tables
 
 import scala.io.Source
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 
 /** Golden effectiveness numbers: recall@{1,5,10}, the best UMC δ and its
   * F1 for every (dataset, model) pair at a small fixed scale, compared
@@ -11,7 +11,7 @@ import repro.SparkSpec
   * of their seeds and inputs, so these numbers depend neither on the core
   * count nor on partitioning; any difference is silent drift.
   */
-class GoldenEffectivenessSpec extends SparkSpec {
+class GoldenEffectivenessSpec extends AnyFunSuite {
 
   test("effectiveness numbers match the checked-in snapshot exactly") {
     val src = Source.fromResource("golden/effectiveness.tsv")
@@ -28,5 +28,5 @@ object GoldenEffectivenessSpec {
   val Scale = 0.01
 
   /** The Effectiveness report at [[Scale]], computed once per test run. */
-  lazy val report: Effectiveness.Result = Effectiveness.run(SparkSpec.shared, Scale)
+  lazy val report: Effectiveness.Result = Effectiveness.run(Scale)
 }

@@ -1,6 +1,6 @@
 package repro.tables
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 import repro.core.Pipeline
 import repro.data.{DatasetProfiles, SupervisedSynth}
 import repro.embed.ModelRegistry
@@ -8,7 +8,7 @@ import repro.embed.ModelRegistry
 /** Every table producer at a tiny scale: one header plus one row per
   * dataset (or model), and the cross-table identities of the one path.
   */
-class TablesSpec extends SparkSpec {
+class TablesSpec extends AnyFunSuite {
 
   private val Scale = GoldenEffectivenessSpec.Scale
   private val datasets = DatasetProfiles.all.map(_.name)
@@ -34,24 +34,24 @@ class TablesSpec extends SparkSpec {
   }
 
   test("Table 4 has the Init row and one transform row per dataset plus the total") {
-    val r = Table4.run(spark, Scale)
+    val r = Table4.run(Scale)
     assert(r.init.rows.head == ModelRegistry.all.map(_.code))
     assert(r.transform.rows.map(_.head) == ("ds" +: datasets) :+ "TOTAL")
     assert(r.total.keySet == ModelRegistry.all.map(_.code).toSet)
   }
 
   test("Table 5(a) has one row per dataset and its S5 rec@10 is Effectiveness's") {
-    val r = Table5a.run(spark, Scale)
+    val r = Table5a.run(Scale)
     assert(r.table.rows.map(_.head) == "ds" +: datasets)
     val eff = GoldenEffectivenessSpec.report.cells.filter(_.model == "S5").map(c => c.dataset -> c.rec10).toMap
     datasets.foreach(ds => assert(r.s5Rec10(ds) == eff(ds), ds))
   }
 
   test("Table 5(b) has one row per dataset and its S5 F1 is the one path's UMC at delta 0.5") {
-    val r = Table5b.run(spark, Scale)
+    val r = Table5b.run(Scale)
     assert(r.table.rows.map(_.head) == "ds" +: datasets)
     DatasetProfiles.all.foreach { p =>
-      val f1 = Pipeline.run(Pipeline.sources(spark, p.scaled(Scale)), "S5", 10).umcAt(0.5).f1
+      val f1 = Pipeline.run(Pipeline.sources(p.scaled(Scale)), "S5", 10).umcAt(0.5).f1
       assert(r.s5F1(p.name) == f1, p.name)
     }
   }
