@@ -4,6 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.data.SupervisedSynth
 import repro.embed.ModelRegistry
 import repro.tables.Table6
+import TimingGate.above
 
 /** Table 6. Paper shape: XLNet slowest everywhere; S-MiniLM fastest;
   * S-DistilRoBERTa and DistilBERT ≈ half of RoBERTa; dynamic models' F1
@@ -19,10 +20,10 @@ class Table6Bench extends AnyFunSuite {
     val f1Tot = report.f1
 
     // Time shape (totals across datasets)
-    assert(tTot("XT") > tTot("BT"), "XLNet slowest")
-    assert(tTot("SM") < tTot("ST"), "S-MiniLM fastest SBERT")
-    assert(tTot("DT") < tTot("BT"), "DistilBERT below BERT")
-    assert(tTot("SA") < tTot("ST"), "S-DistilRoBERTa below S-MPNet")
+    above("XLNet slowest, XT / BT", tTot("XT"), tTot("BT"))
+    above("S-MiniLM fastest SBERT, ST / SM", tTot("ST"), tTot("SM"))
+    above("DistilBERT below BERT, BT / DT", tTot("BT"), tTot("DT"))
+    above("S-DistilRoBERTa below S-MPNet, ST / SA", tTot("ST"), tTot("SA"))
 
     // Effectiveness shape (Figure 11): dynamics above statics on average
     val dsms    = SupervisedSynth.all.size

@@ -7,7 +7,8 @@ import repro.tables._
 /** Prints the paper's tables — the reports the bench suites assert on —
   * without the assertions. Names: 1 2 3 4 5a 5b 6 effectiveness, or all;
   * the scaled tables run at `REPRO_SCALE`. Tables 1–3 run on the driver;
-  * the first table that fans out (4 onwards) starts the Spark session.
+  * the first table that fans out (4 onwards) starts the Spark session,
+  * which the job stops when it is done.
   *
   *   sbt "runMain repro.jobs.Tables 5a 5b"
   */

@@ -17,6 +17,19 @@ import repro.util.Det
   * k-sensitive: candidates are over-fetched (2k) in the encoded space and
   * re-scored by the classifier with a real encoder pass per candidate, so
   * run-time grows with k as the paper reports.
+  *
+  * [[block]] sorts both sides by id and vectorizes them with FastText in
+  * one [[LocalSpark.fanOut]]. A tied-weight linear auto-encoder is trained
+  * by SGD reconstruction on the first 1,500 index vectors, and a logistic
+  * pair classifier on auto-labelled pairs of the first 600 index entities:
+  * each entity against its token dropout (positive) and against a random
+  * entity of the sample (negative, unless it draws itself).
+  * [[ExactKnnBlocker.search]] over-fetches max(2k, k + 2) candidates per
+  * query in the encoded space, and a shared-value fan-out, whose shared
+  * value is the encoder weights and the index ids and vectors, re-scores
+  * each (query, candidate) with a full encoder
+  * pass and keeps the k best per query by (score desc, nid asc). Nothing
+  * is shuffled.
   */
 object DeepBlocker {
 

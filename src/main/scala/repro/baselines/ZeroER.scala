@@ -18,6 +18,12 @@ import repro.matching.MatchMetrics
   * preprocessing phase orders of magnitude slower than the embedding
   * pipeline — runs exceeding `budgetSecs` return None ("did not
   * terminate", the paper's '-').
+  *
+  * Everything runs on the driver, over the sources sorted by id:
+  * [[overlapBlocking]]'s inverted index, then features that compare
+  * attribute i with attribute i only (token Jaccard over token sets built
+  * once per (entity, attribute), and Levenshtein, run serially over the
+  * candidates as the simulated cost), then [[emPosteriors]].
   */
 object ZeroER {
 
@@ -141,7 +147,9 @@ object ZeroER {
 
   private final class Timeout extends RuntimeException
 
-  /** The "did not terminate" budget of Table 5(b), in seconds. */
+  /** The "did not terminate" budget of Table 5(b), in seconds: the
+    * paper's 6 h, scaled by the ratio of our pipeline's run time to its.
+    */
   val DefaultBudgetSecs = 30.0
 
   /** Rights kept per left entity by [[run]]'s overlap blocking. */
@@ -206,9 +214,11 @@ object ZeroER {
     run(rows(s1), rows(s2), groundTruth.select("id1", "id2").as[(Long, Long)].collect().toSet, budgetSecs)
   }
 
-  /** Posterior of the match component per feature vector. The rows are
+  /** Posterior of the match component per feature vector, by EM over a
+    * two-component diagonal Gaussian mixture. The rows are
     * copied once into one row-major matrix, and each iteration takes the
-    * log of each variance once per feature; the sums run in row order.
+    * log of each variance once per feature; the sums run in row order, so
+    * the result is bit-identical to the row-array form the tests keep.
     */
   def emPosteriors(feats: Array[Array[Double]], check: () => Unit): Array[Double] = {
     val n = feats.length

@@ -5,11 +5,13 @@ import repro.core.LocalSpark
 
 /** Exact nearest-neighbour blocking for Clean-Clean ER (paper §4.3):
   * every entity of the *smaller* collection queries the other collection
-  * and keeps its k nearest vectors by Euclidean distance.
+  * and keeps its k nearest vectors by Euclidean distance, the exact scan of
+  * the FAISS index the paper uses.
   *
   * Both sides are held on the driver (a few MB for the paper's datasets
   * at bench scale); the index is the shared value of a
-  * [[LocalSpark.fanOut]], a [[KnnKernel.Index]] (ids and rows), and the
+  * [[LocalSpark.fanOut]], a [[KnnKernel.Index]] (ids and rows), broadcast
+  * once and destroyed when the search's one job ends, and the
   * queries are cut into slices, about four per core, each answered in full
   * by one task. No partial results are merged, so nothing is shuffled, and
   * the output depends neither on the order of either side nor on the number

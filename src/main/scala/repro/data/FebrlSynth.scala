@@ -88,6 +88,10 @@ object FebrlSynth {
     out
   }
 
+  /** Entity `id` of the dataset salted by `tag`, pure in (tag, id): a
+    * dataset of n entities is the first n ids, so one render of a prefix
+    * serves every size.
+    */
   def renderEntity(tag: String, id: Long): EntityRow = {
     val (key, copy) = clusterOf(id) // layout is positional; tag only salts content
     val taggedKey = Det.seedStr(tag, key)

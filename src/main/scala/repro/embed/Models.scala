@@ -1,7 +1,7 @@
 package repro.embed
 
 /** Model family: static word embeddings, BERT-style encoders, or
-  * SentenceBERT models (DESIGN.md §4).
+  * SentenceBERT models (the noise of each is in [[Vectorizer]]).
   */
 sealed abstract class Family
 object Family {
@@ -24,7 +24,7 @@ object TokenMode {
   *
   * The metadata columns (dim, seqLen, paramsM, refs) reproduce Table 1 of
   * the paper. The behavioural knobs encode the mechanisms the paper uses
-  * to explain its results (see DESIGN.md §4):
+  * to explain its results (how [[Vectorizer]] uses them):
   *
   *  - `tokenMode`  — word-level lookup, char-n-gram sum, or mixed (SBERT);
   *  - `knowP`      — probability of canonicalizing a surface variant to its

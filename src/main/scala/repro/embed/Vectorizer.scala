@@ -73,7 +73,26 @@ final class ModelRuntime(val spec: ModelSpec) {
     else null
 }
 
-/** Vectorization: entity sentence → dense embedding (DESIGN.md §4). */
+/** Vectorization: entity sentence → dense embedding, deterministic in
+  * (model, sentence, noise seed). [[embed]] follows one recipe; the
+  * per-model values it reads (`seqLen`, `knowP`, `sigma`, `beta`, `dim`,
+  * `effLayers`) are [[ModelRegistry]]'s.
+  *
+  *  1. The sentence's tokens, truncated to `seqLen` (0 = no limit).
+  *  2. The signal ŝ: the normalized mean of the token vectors. A token vector is
+  *     - in word mode (Word2Vec, GloVe), a hash-RNG vector of the surface
+  *       form, canonicalized to its meaning with probability `knowP`;
+  *     - in n-gram mode (FastText), the mean of the hash-RNG vectors of
+  *       the token's char 3-grams (`Tokenizer.charNgrams`);
+  *     - in mixed mode (BERT and SentenceBERT), 0.7 word + 0.3 n-gram,
+  *       then `effLayers` layer passes over `dim` floats: the per-token
+  *       cost model.
+  *  3. Noise per family, from the entity's noise seed: static and
+  *     SentenceBERT `normalize(ŝ + σ n̂)`; BERT
+  *     `normalize([ŝ + σ n̂' ; β n̂])`, the signal in the first `sigDim`
+  *     dimensions and β-scaled noise in the other half, which Euclidean
+  *     distance cannot ignore but a per-dimension classifier can null.
+  */
 object Vectorizer {
 
   private val runtimes = new ConcurrentHashMap[String, ModelRuntime]()

@@ -13,6 +13,11 @@ import repro.util.Det
   * encoder cost per example, reproducing Table 6's time shape: XLNet
   * slowest, S-MiniLM fastest, DistilBERT/S-DistilRoBERTa ≈ half of
   * RoBERTa, static models mid-pack).
+  *
+  * [[run]] featurizes every pair in one [[LocalSpark.fanOut]], then trains
+  * and tests on the driver. Dynamic models embed with `sigmaScale` 0.4:
+  * fine-tuning adapts the encoder itself and suppresses part of its
+  * noise, while static embeddings stay frozen at 1.0.
   */
 object SupervisedMatcher {
 

@@ -3,12 +3,15 @@ package repro.tables
 import repro.core.Tab
 import repro.data.{CleanProfile, DatasetProfiles, ERSynth, FebrlSynth}
 
-/** Table 2: dataset characteristics at full (paper) size.
+/** Table 2: dataset characteristics at full (paper) size, rendered and
+  * counted on the driver.
   *
   * (a) the ten Clean-Clean datasets: |V1|, |V2|, |A1|, |A2|, |D| and the
   *     measured average sentence length in characters;
-  * (b) the seven Febrl-style Dirty-ER datasets: |V|, measured |D| and
-  *     average sentence length.
+  * (b) the seven Febrl-style Dirty-ER datasets: |V|, measured |D| (every
+  *     pair of the full size is counted) and the average sentence length
+  *     over the first min(|V|, `SampleSize`) ids, from one render shared
+  *     by every size.
   */
 object Table2 {
 

@@ -3,7 +3,7 @@ package repro.tables
 import repro.data.{DsmProfile, SupervisedSynth}
 
 /** Table 3: the supervised-matching datasets — total pairs, testing
-  * pairs, duplicates, attributes — generated and counted.
+  * pairs, duplicates, attributes — generated and counted on the driver.
   */
 object Table3 {
 
