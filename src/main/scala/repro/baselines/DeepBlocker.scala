@@ -14,9 +14,8 @@ import repro.util.Det
   * nearest-neighbour candidate generation (DESIGN.md §1).
   *
   * Kept faithfully stochastic (seed parameter), trained (real SGD), and
-  * k-sensitive: candidates are over-fetched (2k) in the encoded space and
-  * re-scored by the classifier with a real encoder pass per candidate, so
-  * run-time grows with k as the paper reports.
+  * k-sensitive: the re-score below makes run-time grow with k as the paper
+  * reports.
   *
   * [[block]] sorts both sides by id and vectorizes them with FastText in
   * one [[LocalSpark.fanOut]]. A tied-weight linear auto-encoder is trained
@@ -25,11 +24,11 @@ import repro.util.Det
   * each entity against its token dropout (positive) and against a random
   * entity of the sample (negative, unless it draws itself).
   * [[ExactKnnBlocker.search]] over-fetches max(2k, k + 2) candidates per
-  * query in the encoded space, and a shared-value fan-out, whose shared
-  * value is the encoder weights and the index ids and vectors, re-scores
-  * each (query, candidate) with a full encoder
-  * pass and keeps the k best per query by (score desc, nid asc). Nothing
-  * is shuffled.
+  * query in the encoded space; a query's candidates are its slice of the
+  * neighbours' nids. A shared-value fan-out, whose shared value is the
+  * encoder weights and the index ids and vectors, re-scores each (query,
+  * candidate) with a full encoder pass and keeps the k best per query by
+  * (score desc, nid asc). Nothing is shuffled.
   */
 object DeepBlocker {
 
@@ -149,8 +148,9 @@ object DeepBlocker {
     //    classifier (full encoder pass per candidate — the k-dependent
     //    cost) and keep the k best per query by (score desc, nid asc)
     val overK = math.max(2 * k, k + 2)
-    val cands = ExactKnnBlocker.search(encoded(qv), encoded(iv), overK).groupBy(_._1)
-    val queryCands = qv.flatMap { case (qid, v) => cands.get(qid).map(rows => (qid, v, rows.map(_._2))) }
+    val nb = ExactKnnBlocker.search(encoded(qv), encoded(iv), overK)
+    val queryCands =
+      qv.zipWithIndex.map { case ((qid, v), q) => (qid, v, nb.nids.slice(q * nb.k, (q + 1) * nb.k)) }
     val top = LocalSpark.fanOut((w, iv.map(_._1), iv.map(_._2)), queryCands) { case ((w, ids, vecs), slice) =>
       slice.flatMap { case (qid, v, nids) =>
         val scored = nids.map { nid =>

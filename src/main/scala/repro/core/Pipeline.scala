@@ -1,9 +1,11 @@
 package repro.core
 
 import repro.blocking.ExactKnnBlocker
+import repro.blocking.ExactKnnBlocker.Neighbours
 import repro.data.{CleanProfile, ERSynth, EntityRow}
 import repro.embed.Vectorizer
 import repro.matching.{MatchMetrics, UniqueMappingClustering}
+import repro.matching.UniqueMappingClustering.Match
 
 /** The paper's parameter- and learning-free ER path (§4.3, §5.2):
   * vectorize both sources with a language model, let every entity of the
@@ -14,7 +16,7 @@ import repro.matching.{MatchMetrics, UniqueMappingClustering}
   * — is read from this one path: render a dataset once ([[sources]]),
   * [[vectorize]] it (Table 4), [[run]] the k-NN from the smaller side, and
   * derive recall at k, the UMC δ-sweep and UMC at a fixed δ from the
-  * neighbours.
+  * neighbours, which a [[Run]] holds as the k-NN returns them.
   */
 object Pipeline {
 
@@ -63,42 +65,38 @@ object Pipeline {
     */
   final case class Matching(delta: Double, precision: Double, recall: Double, f1: Double, secs: Double)
 
-  /** One (model, dataset) run: the exact top-k neighbours (qid, nid, dist,
-    * rank) of every entity of the smaller side.
-    */
-  final case class Run(src: Sources, vecSecs: Double, blockSecs: Double,
-                       neighbours: Array[(Long, Long, Double, Int)]) {
+  /** One (model, dataset) run: the exact top-k [[Neighbours]] of the smaller side. */
+  final case class Run(src: Sources, vecSecs: Double, blockSecs: Double, neighbours: Neighbours) {
 
     /** Candidate pairs at k ≤ the run's k, as (side-1 id, side-2 id). */
     def candidatePairs(k: Int): Set[(Long, Long)] =
-      neighbours.iterator.filter(_._4 <= k).map { case (q, i, _, _) => src.canonical(q, i) }.toSet
+      neighbours.nids.indices.iterator.filter(neighbours.rank(_) <= k)
+        .map(h => src.canonical(neighbours.qid(h), neighbours.nids(h))).toSet
 
     /** Pairs completeness at k: the share of the ground truth among the candidates (1 if none). */
     def recallAt(k: Int): Double = MatchMetrics.prf(candidatePairs(k), src.gt)._2
 
-    private def smallSize: Long = math.min(src.profile.v1, src.profile.v2).toLong
-
-    private def scored: Array[(Long, Long, Double)] = neighbours.map { case (q, i, d, _) => (q, i, sim(d)) }
+    /** UMC at δ over three columns (qid, nid, [[sim]] of the distance), its matches as
+      * (side-1 id, side-2 id), and the seconds scoring plus clustering took.
+      */
+    private def umc(delta: Double): (Vector[Match], Double) = {
+      val t0 = System.nanoTime()
+      val ms = UniqueMappingClustering.cluster(neighbours.hitQids, neighbours.nids, neighbours.dists.map(sim), delta,
+        math.min(src.profile.v1, src.profile.v2).toLong)
+      (ms.map { m => val (a, b) = src.canonical(m.id1, m.id2); Match(a, b, m.sim) }, (System.nanoTime() - t0) / 1e9)
+    }
 
     /** UMC at the F1-best δ of the paper's grid, from one δ-sweep (Figure 8). */
     def umcBest(): Matching = {
-      val t0 = System.nanoTime()
-      val sweep = UniqueMappingClustering.sweep(scored, smallSize).map { m =>
-        val (a, b) = src.canonical(m.id1, m.id2)
-        m.copy(id1 = a, id2 = b)
-      }
-      val secs = (System.nanoTime() - t0) / 1e9
+      val (sweep, secs) = umc(0.0)
       val (d, p, r, f1) = UniqueMappingClustering.bestThreshold(sweep, src.gt)
       Matching(d, p, r, f1, secs)
     }
 
     /** UMC at a fixed δ (Table 5(b)). */
     def umcAt(delta: Double): Matching = {
-      val t0 = System.nanoTime()
-      val predicted = UniqueMappingClustering.cluster(scored, delta, smallSize)
-        .map(m => src.canonical(m.id1, m.id2)).toSet
-      val secs = (System.nanoTime() - t0) / 1e9
-      val (p, r, f1) = MatchMetrics.prf(predicted, src.gt)
+      val (ms, secs) = umc(delta)
+      val (p, r, f1) = MatchMetrics.prf(ms.map(m => (m.id1, m.id2)).toSet, src.gt)
       Matching(delta, p, r, f1, secs)
     }
   }

@@ -10,78 +10,70 @@ import scala.collection.mutable
   * δ.
   *
   * Greedy-prefix property: processing order does not depend on δ, and a
-  * pair accepted at similarity s is accepted for every δ ≤ s. [[sweep]]
-  * exploits this to evaluate the whole δ grid from a single δ=0 run
-  * (DESIGN.md §5).
+  * pair accepted at similarity s is accepted for every δ ≤ s. A single
+  * δ=0 run, the sweep, thus evaluates the whole δ grid (DESIGN.md §5).
+  *
+  * The input is three primitive columns, one pair per position, in the
+  * order the exact k-NN returns them; UMC sorts a permutation of the
+  * positions and scans the columns through it, copying nothing.
   */
 object UniqueMappingClustering {
 
   /** One accepted match with the similarity at which it was accepted. */
   final case class Match(id1: Long, id2: Long, sim: Double)
 
-  /** Run UMC at threshold δ over (qid, nid, sim) pairs (any order).
-    * `smallSize` = |smaller collection| for the early-exit condition.
+  /** Run UMC at threshold δ over the candidate pairs (`id1(i)`, `id2(i)`)
+    * at similarity `sim(i)`, in any order. `smallSize` = |smaller
+    * collection| for the early-exit condition.
     */
-  def cluster(pairs: Iterable[(Long, Long, Double)], delta: Double,
-              smallSize: Long = Long.MaxValue): Vector[Match] = {
-    val c = new Columns(pairs)
-    val order = c.order
+  def cluster(id1: Array[Long], id2: Array[Long], sim: Array[Double], delta: Double, smallSize: Long): Vector[Match] = {
+    require(id2.length == id1.length && sim.length == id1.length, "the pair columns differ in length")
+    val perm = order(id1, id2, sim)
     val m1 = mutable.HashSet.empty[Long]
     val m2 = mutable.HashSet.empty[Long]
     val out = Vector.newBuilder[Match]
     var i = 0
     var matched = 0L
-    while (i < order.length && matched < smallSize && c.sim(order(i)) >= delta) {
-      val p = order(i)
-      val a = c.id1(p); val b = c.id2(p)
+    while (i < perm.length && matched < smallSize && sim(perm(i)) >= delta) {
+      val p = perm(i)
+      val a = id1(p); val b = id2(p)
       if (!m1.contains(a) && !m2.contains(b)) {
         m1 += a; m2 += b; matched += 1
-        out += Match(a, b, c.sim(p))
+        out += Match(a, b, sim(p))
       }
       i += 1
     }
     out.result()
   }
 
-  /** δ=0 run returning every greedy acceptance with its similarity;
-    * matches at threshold δ are exactly those with sim ≥ δ.
-    */
-  def sweep(pairs: Iterable[(Long, Long, Double)],
-            smallSize: Long = Long.MaxValue): Vector[Match] =
+  /** [[cluster]] over (id1, id2, sim) tuples. Kept for erperf; ROADMAP item 1 deletes it. */
+  def cluster(pairs: Iterable[(Long, Long, Double)], delta: Double, smallSize: Long = Long.MaxValue): Vector[Match] = {
+    val (id1, id2, sim) = pairs.toArray.unzip3
+    cluster(id1, id2, sim, delta, smallSize)
+  }
+
+  /** The δ=0 sweep over (id1, id2, sim) tuples. Kept for erperf; ROADMAP item 1 deletes it. */
+  def sweep(pairs: Iterable[(Long, Long, Double)], smallSize: Long = Long.MaxValue): Vector[Match] =
     cluster(pairs, 0.0, smallSize)
 
-  /** The pairs as three primitive columns, and their processing order as
-    * a permutation sorted by (−sim, id1, id2). The similarity compares
-    * negated with `java.lang.Double.compare`, the total order of
-    * `Ordering.Double`: NaN after every number, and a pair at 0.0 before
-    * one at −0.0.
+  /** The processing order of the pair columns, as a permutation sorted by
+    * (−sim, id1, id2). The similarity compares negated with
+    * `java.lang.Double.compare`, the total order of `Ordering.Double`: NaN
+    * after every number, and a pair at 0.0 before one at −0.0.
     */
-  private final class Columns(pairs: Iterable[(Long, Long, Double)]) {
-    val id1 = new Array[Long](pairs.size)
-    val id2 = new Array[Long](id1.length)
-    val sim = new Array[Double](id1.length)
-    locally {
-      var i = 0
-      pairs.foreach { case (a, b, s) => id1(i) = a; id2(i) = b; sim(i) = s; i += 1 }
-    }
-
-    private def compare(x: Int, y: Int): Int = {
+  private def order(id1: Array[Long], id2: Array[Long], sim: Array[Double]): Array[Int] = {
+    def compare(x: Int, y: Int): Int = {
       val c = java.lang.Double.compare(-sim(x), -sim(y))
       if (c != 0) c
       else if (id1(x) != id1(y)) java.lang.Long.compare(id1(x), id1(y))
       else java.lang.Long.compare(id2(x), id2(y))
     }
+    val perm = Array.range(0, id1.length)
+    val tmp = new Array[Int](perm.length)
 
-    def order: Array[Int] = {
-      val perm = Array.range(0, id1.length)
-      sort(perm, new Array[Int](perm.length), 0, perm.length)
-      perm
-    }
-
-    /** Stable top-down merge sort of perm[lo, hi) with insertion-sort
-      * leaves; a merge is skipped when the halves are already in order.
-      */
-    private def sort(perm: Array[Int], tmp: Array[Int], lo: Int, hi: Int): Unit =
+    // Stable top-down merge sort of perm[lo, hi) with insertion-sort
+    // leaves; a merge is skipped when the halves are already in order.
+    def sort(lo: Int, hi: Int): Unit =
       if (hi - lo <= 16) {
         var i = lo + 1
         while (i < hi) {
@@ -93,8 +85,8 @@ object UniqueMappingClustering {
         }
       } else {
         val mid = (lo + hi) >>> 1
-        sort(perm, tmp, lo, mid)
-        sort(perm, tmp, mid, hi)
+        sort(lo, mid)
+        sort(mid, hi)
         if (compare(perm(mid - 1), perm(mid)) > 0) {
           System.arraycopy(perm, lo, tmp, lo, hi - lo)
           var i = lo; var j = mid; var o = lo
@@ -105,19 +97,19 @@ object UniqueMappingClustering {
           }
         }
       }
+
+    sort(0, perm.length)
+    perm
   }
 
   /** F1-optimal threshold over the paper's grid δ ∈ {0.05, …, 0.95},
-    * evaluated from a δ=0 sweep. Returns (bestDelta, precision, recall, f1).
+    * evaluated from a δ=0 sweep; the smallest δ wins a tie. Returns
+    * (bestDelta, precision, recall, f1).
     */
-  def bestThreshold(sweepMatches: Vector[Match], groundTruth: Set[(Long, Long)]): (Double, Double, Double, Double) = {
-    val grid = (1 to 19).map(_ * 0.05)
-    var best = (0.05, 0.0, 0.0, -1.0)
-    for (d <- grid) {
-      val predicted = sweepMatches.filter(_.sim >= d).map(m => (m.id1, m.id2)).toSet
-      val (p, r, f1) = MatchMetrics.prf(predicted, groundTruth)
-      if (f1 > best._4) best = (d, p, r, f1)
-    }
-    (best._1, best._2, best._3, best._4)
-  }
+  def bestThreshold(sweepMatches: Vector[Match], groundTruth: Set[(Long, Long)]): (Double, Double, Double, Double) =
+    (1 to 19).map { i =>
+      val d = i * 0.05
+      val (p, r, f1) = MatchMetrics.prf(sweepMatches.filter(_.sim >= d).map(m => (m.id1, m.id2)).toSet, groundTruth)
+      (d, p, r, f1)
+    }.reduceLeft((best, c) => if (c._4 > best._4) c else best)
 }

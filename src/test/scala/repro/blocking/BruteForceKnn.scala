@@ -12,7 +12,9 @@ object BruteForceKnn {
   def nearest(q: Array[Float], index: Seq[(Long, Array[Float])], k: Int): Seq[(Long, Double)] =
     index.map { case (nid, v) => (nid, Det.l2(q, v)) }.sortBy { case (nid, d) => (d, nid) }.take(k)
 
-  /** (qid, nid, dist, rank) rows, as `ExactKnnBlocker.topK` returns them. */
+  /** (qid, nid, dist, rank) rows, queries in input order, as
+    * `ExactKnnBlocker.topK` returns them.
+    */
   def topK(queries: Seq[(Long, Array[Float])], index: Seq[(Long, Array[Float])],
            k: Int): Seq[(Long, Long, Double, Int)] =
     queries.flatMap { case (qid, q) =>

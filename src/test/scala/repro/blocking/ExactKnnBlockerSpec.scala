@@ -11,6 +11,10 @@ class ExactKnnBlockerSpec extends SparkSpec {
     vs.toDF("id", "vec")
   }
 
+  /** The (qid, nid, dist, rank) rows of `nb`, in its order. */
+  private def hitRows(nb: ExactKnnBlocker.Neighbours): Seq[(Long, Long, Double, Int)] =
+    nb.nids.indices.map(h => (nb.qid(h), nb.nids(h), nb.dists(h), nb.rank(h)))
+
   private val queries = Seq(
     0L -> Array(0f, 0f), 1L -> Array(10f, 10f))
   private val index = Seq(
@@ -35,6 +39,9 @@ class ExactKnnBlockerSpec extends SparkSpec {
   test("k larger than index returns all index rows") {
     val top = ExactKnnBlocker.topK(vecDf(queries), vecDf(index), 100)
     assert(top.count() == queries.size * index.size)
+    val nb = ExactKnnBlocker.search(queries.toArray, index.toArray, 100)
+    assert(nb.k == index.size && nb.nids.length == queries.size * index.size)
+    assert(nb.qids.toSeq == queries.map(_._1))
   }
 
   test("k must be positive") {
@@ -46,11 +53,11 @@ class ExactKnnBlockerSpec extends SparkSpec {
     val ri = (0L until 40L).map(i => (100L + i) -> Det.uniformVec(Det.seed(2L, i), 24))
     val k = 5
     import spark.implicits._
-    val got = ExactKnnBlocker.search(rq.toArray, ri.toArray, k).sorted.toSeq
+    val got = hitRows(ExactKnnBlocker.search(rq.toArray, ri.toArray, k))
     val adapted = ExactKnnBlocker.topK(vecDf(rq), vecDf(ri), k)
       .as[(Long, Long, Double, Int)].collect().sorted.toSeq
-    assert(got == BruteForceKnn.topK(rq, ri, k).sorted)
-    assert(adapted == got)
+    assert(got == BruteForceKnn.topK(rq, ri, k))
+    assert(adapted == got.sorted)
   }
 
   test("ties broken by ascending nid") {
@@ -65,7 +72,7 @@ class ExactKnnBlockerSpec extends SparkSpec {
   test("a tie at the k-th place keeps the smallest nid, whatever the arrival order") {
     val q = Array(0L -> Array(0f))
     val i = Array(5L -> Array(1f), 3L -> Array(1f), 9L -> Array(1f))
-    Seq(i, i.reverse).foreach(is => assert(ExactKnnBlocker.search(q, is, 1).map(_._2).toSeq == Seq(3L)))
+    Seq(i, i.reverse).foreach(is => assert(ExactKnnBlocker.search(q, is, 1).nids.toSeq == Seq(3L)))
   }
 
   test("output does not depend on how either side is partitioned or ordered") {
@@ -78,7 +85,7 @@ class ExactKnnBlockerSpec extends SparkSpec {
     def rows(qs: org.apache.spark.sql.DataFrame, is: org.apache.spark.sql.DataFrame) =
       ExactKnnBlocker.topK(qs, is, 7).as[(Long, Long, Double, Int)].collect().sorted.toSeq
     def searched(qs: Seq[(Long, Array[Float])], is: Seq[(Long, Array[Float])]) =
-      ExactKnnBlocker.search(qs.toArray, is.toArray, 7).sorted.toSeq
+      hitRows(ExactKnnBlocker.search(qs.toArray, is.toArray, 7)).sorted
     val want = BruteForceKnn.topK(rq, ri, 7).sorted
     val shuffled = new scala.util.Random(5).shuffle(ri)
     Seq(
@@ -93,8 +100,9 @@ class ExactKnnBlockerSpec extends SparkSpec {
   }
 
   test("an empty side gives an empty frame with the four columns") {
-    assert(ExactKnnBlocker.search(Array.empty, index.toArray, 3).isEmpty)
-    assert(ExactKnnBlocker.search(queries.toArray, Array.empty, 3).isEmpty)
+    assert(ExactKnnBlocker.search(Array.empty, index.toArray, 3).nids.isEmpty)
+    val noIndex = ExactKnnBlocker.search(queries.toArray, Array.empty, 3)
+    assert(noIndex.nids.isEmpty && noIndex.k == 0)
     val empty = vecDf(Seq.empty)
     Seq(ExactKnnBlocker.topK(empty, vecDf(index), 3), ExactKnnBlocker.topK(vecDf(queries), empty, 3))
       .foreach { top =>

@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.SparkSpec
+import repro.blocking.ExactKnnBlocker.Neighbours
 import repro.data.{DatasetProfiles, ERSynth}
 
 class PipelineSpec extends SparkSpec {
@@ -15,13 +16,13 @@ class PipelineSpec extends SparkSpec {
     val m = r.umcAt(0.5)
     assert(m.f1 > 0.9, s"F1 ${m.f1}")
     assert(r.vecSecs + r.blockSecs > 0 && m.secs >= 0)
-    assert(r.neighbours.nonEmpty)
+    assert(r.neighbours.nids.nonEmpty)
   }
 
   test("pipeline respects k (candidates bounded by k * |smaller|)") {
     val p = DatasetProfiles("D1").scaled(0.2)
     val r = run("D1", 0.2, "SM", 3)
-    assert(r.neighbours.length <= 3L * math.min(p.v1, p.v2))
+    assert(r.neighbours.nids.length <= 3L * math.min(p.v1, p.v2))
   }
 
   test("higher delta cannot increase recall") {
@@ -38,14 +39,16 @@ class PipelineSpec extends SparkSpec {
   test("query direction: smaller side queries the larger one") {
     val p = DatasetProfiles("D9").scaled(0.01) // v1 << v2
     val r = run("D9", 0.01, "SM", 5)
-    assert(r.neighbours.length == 5L * p.v1)
-    assert(r.neighbours.forall(_._1 < p.v1))
+    assert(r.neighbours.nids.length == 5L * p.v1)
+    assert(r.neighbours.hitQids.forall(_ < p.v1))
   }
 
   test("run returns neighbours with ranks up to k") {
-    assert(d5.neighbours.nonEmpty)
-    assert(d5.neighbours.forall(_._4 >= 1))
-    assert(d5.neighbours.forall(_._4 <= 16))
+    val ranks = d5.neighbours.nids.indices.map(d5.neighbours.rank)
+    assert(ranks.nonEmpty)
+    assert(ranks.forall(_ >= 1))
+    assert(ranks.forall(_ <= 16))
+    assert(d5.neighbours.k == 16 && d5.neighbours.nids.length == 16 * d5.neighbours.qids.length)
   }
 
   test("recall is monotone in k") {
@@ -101,17 +104,17 @@ class PipelineSpec extends SparkSpec {
   }
 
   /** A run of hand-made neighbours on D1, whose side 1 is the query side. */
-  private def handRun(gt: Set[(Long, Long)], neighbours: (Long, Long, Double, Int)*): Pipeline.Run =
-    Pipeline.Run(Pipeline.Sources(DatasetProfiles("D1"), Array.empty, Array.empty, gt), 0.0, 0.0,
-      neighbours.toArray)
+  private def handRun(gt: Set[(Long, Long)], neighbours: Neighbours): Pipeline.Run =
+    Pipeline.Run(Pipeline.Sources(DatasetProfiles("D1"), Array.empty, Array.empty, gt), 0.0, 0.0, neighbours)
 
   test("recall on exact candidates") {
-    val r = handRun(Set((0L, 100L), (1L, 104L)), (0L, 100L, 0.1, 1), (1L, 103L, 0.2, 1), (1L, 104L, 0.3, 2))
+    val r = handRun(Set((0L, 100L), (1L, 104L)),
+      Neighbours(Array(0L, 1L), 2, Array(100L, 101L, 103L, 104L), Array(0.1, 0.15, 0.2, 0.3)))
     assert(r.recallAt(1) == 0.5)
     assert(r.recallAt(2) == 1.0)
   }
 
   test("recall of empty ground truth is 1") {
-    assert(handRun(Set.empty, (0L, 100L, 0.1, 1)).recallAt(1) == 1.0)
+    assert(handRun(Set.empty, Neighbours(Array(0L), 1, Array(100L), Array(0.1))).recallAt(1) == 1.0)
   }
 }

@@ -65,8 +65,11 @@ class UMCSpec extends AnyFunSuite with PropSupport {
     val delta = Gen.oneOf(Gen.oneOf(ties.filterNot(_.isNaN)), Gen.choose(-0.5, 1.0))
     val small = Gen.oneOf(Gen.choose(0L, 10L), Gen.const(Long.MaxValue))
     checkProp(Prop.forAll(input, delta, small) { (ps, d, s) =>
+      val (id1, id2, sim) = ps.toArray.unzip3
       bits(UniqueMappingClustering.sweep(ps, s)) == bits(ReferenceUmc.run(ps, 0.0, s)) &&
-        bits(UniqueMappingClustering.cluster(ps, d, s)) == bits(ReferenceUmc.run(ps, d, s))
+        bits(UniqueMappingClustering.cluster(ps, d, s)) == bits(ReferenceUmc.run(ps, d, s)) &&
+        bits(UniqueMappingClustering.cluster(id1, id2, sim, 0.0, s)) == bits(ReferenceUmc.run(ps, 0.0, s)) &&
+        bits(UniqueMappingClustering.cluster(id1, id2, sim, d, s)) == bits(ReferenceUmc.run(ps, d, s))
     }, "reference UMC")
   }
 
@@ -75,8 +78,12 @@ class UMCSpec extends AnyFunSuite with PropSupport {
       (Det.nextInt(Det.seed(1L, i.toLong), 700).toLong, Det.nextInt(Det.seed(2L, i.toLong), 900).toLong,
         ties(Det.nextInt(Det.seed(3L, i.toLong), ties.length)))
     }
+    val (id1, id2, sim) = ps.toArray.unzip3
     assert(bits(UniqueMappingClustering.sweep(ps, 650L)) == bits(ReferenceUmc.run(ps, 0.0, 650L)))
     assert(bits(UniqueMappingClustering.cluster(ps, 0.5)) == bits(ReferenceUmc.run(ps, 0.5, Long.MaxValue)))
+    assert(bits(UniqueMappingClustering.cluster(id1, id2, sim, 0.0, 650L)) == bits(ReferenceUmc.run(ps, 0.0, 650L)))
+    assert(bits(UniqueMappingClustering.cluster(id1, id2, sim, 0.5, Long.MaxValue)) ==
+      bits(ReferenceUmc.run(ps, 0.5, Long.MaxValue)))
   }
 
   test("NaN similarities are never matched, and 0.0 is processed before -0.0") {
